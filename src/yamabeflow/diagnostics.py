@@ -61,7 +61,6 @@ class EnvelopeReport:
     upper_rate: float
     trap_bound: float | None
     violations: list[str] = field(default_factory=list)
-    log_residual_slope: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -182,8 +181,7 @@ def envelope_check(bg: Background, trajectory, certificate=None) -> EnvelopeRepo
     Lower barrier ``min(C0, min u0)`` with ``C0 = (min|R0| / max|f|)^((n-2)/4)``
     (degenerate to bare positivity when ``f == 0``), upper envelope
     ``max(1, max u0) * exp(C1 t)``, and the supersolution trap when a
-    certificate is supplied.  Also fits the slope of the logged high-order
-    residual moment, reported but not asserted.
+    certificate is supplied.
     """
     n = bg.n
     min_r0 = float(np.abs(bg.r0.values).min())
@@ -222,17 +220,6 @@ def envelope_check(bg: Background, trajectory, certificate=None) -> EnvelopeRepo
             )
         if trap is not None and mx > trap + 1e-8:
             report.violations.append(f"trap at t={t:g}: max u = {mx:g} > {trap:g}")
-
-    p_high = n * n / (2.0 * (n - 2.0))
-    pts = [
-        (r.t, r.residual_lp[p_high])
-        for r in trajectory.records
-        if p_high in r.residual_lp and r.residual_lp[p_high] > 0.0
-    ]
-    if len(pts) >= 3:
-        tarr = np.array([p[0] for p in pts])
-        larr = np.log(np.array([p[1] for p in pts]))
-        report.log_residual_slope = float(np.polyfit(tarr, larr, 1)[0])
     return report
 
 

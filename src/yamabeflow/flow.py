@@ -4,6 +4,10 @@ The flow is integrated in the conformal factor ``u`` with classical RK4
 under a CFL-style stability cap.  Positivity is enforced by step rejection
 (halve dt and retry), never by clipping, so the comparison-principle
 diagnostics see the genuine scheme.
+
+Each accepted state is evaluated once: the residual ``R_g - f``, the weight
+``u^(N+1)`` and the velocity computed there feed the stability cap, the
+first RK4 stage, the trapezoid dissipation and the diagnostics record.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .errors import PositivityCollapseError
 from .grid import ScalarField, _fsum, require_same_grid
-from .operators import (
-    Background,
-    _curvature_values,
-    energy,
-    gradient_squared,
-    require_positive,
-)
+from .operators import Background, _curvature_values, energy, require_positive
 
 __all__ = [
     "FlowState",
@@ -100,32 +98,53 @@ def default_lp_orders(n: int) -> tuple[float, ...]:
     return FlowConfig().resolve_orders(n)
 
 
-def _velocity_values(bg: Background, uv: np.ndarray) -> np.ndarray:
-    rg = _curvature_values(bg, uv)
-    return -0.25 * (bg.n - 2) * (rg - bg.f.values) * uv
+def _residual_velocity(bg: Background, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    resid = _curvature_values(bg, uv) - bg.f.values
+    return resid, -0.25 * (bg.n - 2) * resid * uv
+
+
+class _StateEval:
+    """Everything the step loop reads from one state, from one ``R_g - f``."""
+
+    __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
+
+    def __init__(self, bg: Background, u: ScalarField):
+        uv = u.values
+        self.resid, self.velocity = _residual_velocity(bg, uv)
+        self.weight = uv ** (bg.big_n + 1.0)
+        self.min_u = float(uv.min())
+        self.max_u = float(uv.max())
+        self.residual_sup = float(np.abs(self.resid).max())
+        self.energy = energy(bg, u)
+        self.sq = _fsum(self.resid * self.resid * self.weight) * bg.grid.cell_volume
 
 
 def velocity(bg: Background, u: ScalarField) -> ScalarField:
     """Pointwise flow velocity ``-((n-2)/4) (R_g - f) u``."""
     require_same_grid(bg, u)
     require_positive(u)
-    return ScalarField(u.grid, _velocity_values(bg, u.values))
+    return ScalarField(u.grid, _residual_velocity(bg, u.values)[1])
 
 
-def stable_dt(bg: Background, u: ScalarField, cfl_fraction: float) -> float:
+def stable_dt(
+    bg: Background, u: ScalarField, cfl_fraction: float, ev: _StateEval | None = None
+) -> float:
     """Explicit-scheme stability cap for the linearized diffusion and reaction.
 
     Diffusion coefficient ``D(u) = ((n-2)/4) c_n u^(1-N)`` caps the step at
     ``cfl * (sum_i 2/h_i^2)^-1 / max D``; the reaction rate
-    ``((n-2)/4)|R_g - f|`` further caps it at half its inverse.
+    ``((n-2)/4)|R_g - f|`` further caps it at half its inverse.  ``ev`` is
+    the state's evaluation when the caller already holds it.
     """
     require_same_grid(bg, u)
     require_positive(u)
+    if ev is None:
+        ev = _StateEval(bg, u)
     kappa = 0.25 * (bg.n - 2)
-    d_max = kappa * bg.c_n * u.min() ** (1.0 - bg.big_n)
+    d_max = kappa * bg.c_n * ev.min_u ** (1.0 - bg.big_n)
     inv_h2 = sum(2.0 / (h * h) for h in bg.grid.spacings)
     dt = cfl_fraction / (inv_h2 * d_max)
-    rate = kappa * float(np.abs(_curvature_values(bg, u.values) - bg.f.values).max())
+    rate = kappa * ev.residual_sup
     if rate > 0.0:
         dt = min(dt, 0.5 / rate)
     return dt
@@ -135,35 +154,31 @@ def _admissible(arr: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(arr))) and bool(np.all(arr > 0.0))
 
 
-def _try_rk4(bg: Background, uv: np.ndarray, dt: float) -> np.ndarray | None:
-    k1 = _velocity_values(bg, uv)
-    s2 = uv + 0.5 * dt * k1
-    if not _admissible(s2):
-        return None
-    k2 = _velocity_values(bg, s2)
-    s3 = uv + 0.5 * dt * k2
-    if not _admissible(s3):
-        return None
-    k3 = _velocity_values(bg, s3)
-    s4 = uv + dt * k3
-    if not _admissible(s4):
-        return None
-    k4 = _velocity_values(bg, s4)
+def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray | None:
+    ks = [k1]
+    for c in (0.5, 0.5, 1.0):
+        s = uv + c * dt * ks[-1]
+        if not _admissible(s):
+            return None
+        ks.append(_residual_velocity(bg, s)[1])
+    k1, k2, k3, k4 = ks
     out = uv + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not _admissible(out):
-        return None
-    return out
+    return out if _admissible(out) else None
 
 
-def step(bg: Background, state: FlowState, dt: float) -> FlowState:
-    """One RK4 step; rejects and halves dt (up to 40 times) on lost positivity."""
+def step(bg: Background, state: FlowState, dt: float, ev: _StateEval | None = None) -> FlowState:
+    """One RK4 step; rejects and halves dt (up to 40 times) on lost positivity.
+
+    ``ev``, the evaluation of ``state`` if the caller holds it, gives stage k1.
+    """
     require_same_grid(bg, state.u)
     require_positive(state.u)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     uv = state.u.values
+    k1 = ev.velocity if ev is not None else _residual_velocity(bg, uv)[1]
     for _ in range(41):
-        out = _try_rk4(bg, uv, dt)
+        out = _try_rk4(bg, uv, k1, dt)
         if out is not None:
             return FlowState(ScalarField(bg.grid, out), state.t + dt, state.step + 1, dt)
         dt *= 0.5
@@ -172,35 +187,20 @@ def step(bg: Background, state: FlowState, dt: float) -> FlowState:
     )
 
 
-class _Stats:
-    __slots__ = ("energy", "min_u", "max_u", "volume_g", "residual_sup", "residual_lp", "sq")
-
-    def __init__(self, bg: Background, state: FlowState, orders):
-        uv = state.u.values
-        resid = _curvature_values(bg, uv) - bg.f.values
-        weight = uv ** (bg.big_n + 1.0)
-        vol = bg.grid.cell_volume
-        self.energy = energy(bg, state.u)
-        self.min_u = float(uv.min())
-        self.max_u = float(uv.max())
-        self.volume_g = _fsum(weight) * vol
-        self.residual_sup = float(np.abs(resid).max())
-        self.residual_lp = {
-            p: _fsum(np.abs(resid) ** p * weight) * vol for p in orders
-        }
-        self.sq = _fsum(resid * resid * weight) * vol
-
-
-def _make_record(state: FlowState, stats: _Stats, carry: RunCarry) -> DiagnosticsRecord:
+def _make_record(
+    bg: Background, state: FlowState, ev: _StateEval, carry: RunCarry, orders
+) -> DiagnosticsRecord:
+    vol = bg.grid.cell_volume
+    abs_resid = np.abs(ev.resid)
     return DiagnosticsRecord(
         t=state.t,
         dt=state.dt_last,
-        energy=stats.energy,
-        min_u=stats.min_u,
-        max_u=stats.max_u,
-        volume_g=stats.volume_g,
-        residual_sup=stats.residual_sup,
-        residual_lp=dict(stats.residual_lp),
+        energy=ev.energy,
+        min_u=ev.min_u,
+        max_u=ev.max_u,
+        volume_g=_fsum(ev.weight) * vol,
+        residual_sup=ev.residual_sup,
+        residual_lp={p: _fsum(abs_resid**p * ev.weight) * vol for p in orders},
         dissipation_cum=carry.dissipation_cum,
     )
 
@@ -230,26 +230,26 @@ def run(
     records: list[DiagnosticsRecord] = []
     step_t, step_dt, step_e, step_mn, step_mx = [], [], [], [], []
 
-    stats = _Stats(bg, state, orders)
+    ev = _StateEval(bg, state.u)
     outcome = None
     while True:
         step_t.append(state.t)
         step_dt.append(state.dt_last)
-        step_e.append(stats.energy)
-        step_mn.append(stats.min_u)
-        step_mx.append(stats.max_u)
+        step_e.append(ev.energy)
+        step_mn.append(ev.min_u)
+        step_mx.append(ev.max_u)
 
         due = state.step % cfg.record_every == 0 and state.step > carry.last_record_step
-        if stats.residual_sup <= cfg.residual_stop:
+        if ev.residual_sup <= cfg.residual_stop:
             outcome = "converged"
         elif state.t >= cfg.t_max:
             outcome = "timeout"
         elif cfg.max_steps is not None and state.step >= cfg.max_steps:
             outcome = "timeout"
-        elif stats.max_u >= cfg.blowup_ceiling:
+        elif ev.max_u >= cfg.blowup_ceiling:
             outcome = "blow-up"
         if due or (outcome is not None and state.step > carry.last_record_step):
-            rec = _make_record(state, stats, carry)
+            rec = _make_record(bg, state, ev, carry, orders)
             records.append(rec)
             carry.records_written += 1
             carry.last_record_step = state.step
@@ -269,13 +269,13 @@ def run(
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
         else:
-            dt = stable_dt(bg, state.u, cfg.cfl_fraction)
+            dt = stable_dt(bg, state.u, cfg.cfl_fraction, ev)
             if state.t + dt > cfg.t_max:
                 dt = cfg.t_max - state.t
-        new_state = step(bg, state, dt)
-        new_stats = _Stats(bg, new_state, orders)
-        carry.dissipation_cum += 0.5 * (new_state.t - state.t) * (stats.sq + new_stats.sq)
-        state, stats = new_state, new_stats
+        new_state = step(bg, state, dt, ev)
+        new_ev = _StateEval(bg, new_state.u)
+        carry.dissipation_cum += 0.5 * (new_state.t - state.t) * (ev.sq + new_ev.sq)
+        state, ev = new_state, new_ev
 
     return Trajectory(
         n=bg.n,

@@ -48,31 +48,34 @@ class Scenario:
     background: Background
     u0: ScalarField
     flow: FlowConfig
-    seed: int
     omega_spec: dict
     supersolution: dict
-    raw: dict
 
     def omega_mask(self) -> SubdomainMask:
         """Realize the configured subdomain (defaults to the empty set)."""
         spec = self.omega_spec
         kind = spec.get("type", "empty")
-        if kind == "empty":
-            return SubdomainMask.empty(self.grid)
-        if kind == "full":
-            return SubdomainMask.full(self.grid)
-        if kind == "superlevel":
-            return superlevel_mask(self.background, float(spec["eps"]))
-        if kind == "ball":
-            center = [float(c) for c in spec["center"].split()]
-            radius = float(spec["radius"])
-            dist2 = _periodic_dist2(self.grid, center)
-            return SubdomainMask(self.grid, dist2 < radius * radius)
-        if kind == "slab":
-            axis = int(spec["axis"])
-            lo, hi = float(spec["lo"]), float(spec["hi"])
-            x = self.grid.meshgrid()[axis]
-            return SubdomainMask(self.grid, (x > lo) & (x < hi))
+        try:
+            if kind == "empty":
+                return SubdomainMask.empty(self.grid)
+            if kind == "full":
+                return SubdomainMask.full(self.grid)
+            if kind == "superlevel":
+                return superlevel_mask(self.background, float(spec["eps"]))
+            if kind == "ball":
+                center = _floats(spec["center"])
+                radius = float(spec["radius"])
+                dist2 = _periodic_dist2(self.grid, center)
+                return SubdomainMask(self.grid, dist2 < radius * radius)
+            if kind == "slab":
+                axis = int(spec["axis"])
+                lo, hi = float(spec["lo"]), float(spec["hi"])
+                x = self.grid.meshgrid()[axis]
+                return SubdomainMask(self.grid, (x > lo) & (x < hi))
+        except KeyError as exc:
+            raise ScenarioError(f"omega.type = {kind} needs key 'omega.{exc.args[0]}'") from exc
+        except (ValueError, IndexError) as exc:
+            raise ScenarioError(f"bad omega value: {exc}") from exc
         raise ScenarioError(f"unknown omega.type {kind!r}")
 
 
@@ -115,38 +118,40 @@ def _realize_field(kv: dict, prefix: str, grid: GridSpec, base_dir: Path, seed: 
             raise ScenarioError(f"{prefix}.snapshot grid {field.grid.sizes} != scenario grid")
         return field
 
-    values = np.full(grid.shape, _get_float(kv, f"{prefix}.constant", required=True))
-    indices = sorted(
-        {
-            int(key.split(".")[2])
-            for key in kv
-            if key.startswith(f"{prefix}.bump.")
-        }
-    )
-    for i in indices:
-        amp = _get_float(kv, f"{prefix}.bump.{i}.amplitude", required=True)
-        width = _get_float(kv, f"{prefix}.bump.{i}.width", required=True)
+    values = np.full(grid.shape, _get(kv, f"{prefix}.constant", required=True))
+    bump_keys = [key for key in kv if key.startswith(f"{prefix}.bump.")]
+    for i in sorted({_convert(key, key.split(".")[2], int) for key in bump_keys}):
+        amp = _get(kv, f"{prefix}.bump.{i}.amplitude", required=True)
+        width = _get(kv, f"{prefix}.bump.{i}.width", required=True)
         if width <= 0.0:
             raise ScenarioError(f"{prefix}.bump.{i}.width must be positive")
-        center = [float(c) for c in kv[f"{prefix}.bump.{i}.center"].split()]
+        center = _get(kv, f"{prefix}.bump.{i}.center", required=True, conv=_floats)
         dist2 = _periodic_dist2(grid, center)
         values = values + amp * np.exp(-dist2 / (2.0 * width * width))
-    noise = kv.get(f"{prefix}.noise.amplitude")
+    noise = _get(kv, f"{prefix}.noise.amplitude")
     if noise is not None:
         rng = np.random.default_rng(seed)
-        values = values + float(noise) * rng.standard_normal(grid.shape)
+        values = values + noise * rng.standard_normal(grid.shape)
     return ScalarField(grid, values)
 
 
-def _get_float(kv: dict, key: str, default: float | None = None, required: bool = False) -> float:
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split()]
+
+
+def _convert(key: str, text: str, conv):
+    try:
+        return conv(text)
+    except ValueError as exc:
+        raise ScenarioError(f"key {key!r}: not a number: {text!r}") from exc
+
+
+def _get(kv: dict, key: str, default=None, required: bool = False, conv=float):
     if key not in kv:
         if required:
             raise ScenarioError(f"missing required key {key!r}")
         return default
-    try:
-        return float(kv[key])
-    except ValueError as exc:
-        raise ScenarioError(f"key {key!r}: not a number: {kv[key]!r}") from exc
+    return _convert(key, kv[key], conv)
 
 
 def load_scenario(path) -> Scenario:
@@ -171,7 +176,7 @@ def load_scenario(path) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    seed = int(kv.get("seed", "0"))
+    seed = _get(kv, "seed", 0, conv=int)
     r0 = _realize_field(kv, "r0", grid, path.parent, seed)
     f = _realize_field(kv, "f", grid, path.parent, seed + 1)
     u0 = _realize_field(kv, "u0", grid, path.parent, seed + 2)
@@ -184,16 +189,20 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"u0 not positive at index {idx}: {u0.values.reshape(-1)[idx]:g}")
     background = Background(grid, r0, f)
 
-    orders = kv.get("flow.lp_orders")
-    flow = FlowConfig(
-        cfl_fraction=_get_float(kv, "flow.cfl_fraction", 0.8),
-        t_max=_get_float(kv, "flow.t_max", 10.0),
-        residual_stop=_get_float(kv, "flow.residual_stop", 1e-6),
-        blowup_ceiling=_get_float(kv, "flow.blowup_ceiling", 1e6),
-        record_every=int(kv.get("flow.record_every", "10")),
-        lp_orders=tuple(float(p) for p in orders.split()) if orders else None,
-        fixed_dt=_get_float(kv, "flow.fixed_dt", None),
+    orders = _get(kv, "flow.lp_orders", conv=_floats)
+    settings = dict(
+        cfl_fraction=_get(kv, "flow.cfl_fraction", 0.8),
+        t_max=_get(kv, "flow.t_max", 10.0),
+        residual_stop=_get(kv, "flow.residual_stop", 1e-6),
+        blowup_ceiling=_get(kv, "flow.blowup_ceiling", 1e6),
+        record_every=_get(kv, "flow.record_every", 10, conv=int),
+        lp_orders=tuple(orders) if orders else None,
+        fixed_dt=_get(kv, "flow.fixed_dt", None),
     )
+    try:
+        flow = FlowConfig(**settings)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     omega_spec = {
         key.split(".", 1)[1]: value for key, value in kv.items() if key.startswith("omega.")
@@ -209,8 +218,6 @@ def load_scenario(path) -> Scenario:
         background=background,
         u0=u0,
         flow=flow,
-        seed=seed,
         omega_spec=omega_spec,
         supersolution=supersolution,
-        raw=kv,
     )

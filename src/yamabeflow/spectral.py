@@ -43,8 +43,8 @@ def dirichlet_eigen(
     """Smallest eigenpair of ``-c_n Lap + R0`` with zero values outside the mask.
 
     The empty mask returns ``lam = +inf`` by convention (infimum over an
-    empty admissible set).  Non-convergence raises, carrying the best
-    residual reached.
+    empty admissible set).  Non-convergence, of the inverse iteration or of
+    an inner CG solve, raises, carrying the best residual reached.
     """
     require_same_grid(bg, mask)
     if tol <= 0.0:
@@ -57,28 +57,26 @@ def dirichlet_eigen(
     npts = bg.grid.num_points
     sigma = bg.r0.min() - 1.0
 
-    def apply_l(flat: np.ndarray) -> np.ndarray:
+    def apply_masked(flat: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        # L - shift on the mask, with values outside it taken as zero.
         v = flat.reshape(shape).copy()
         v[~inside] = 0.0
-        out = _conformal_values(bg, v)
+        out = _conformal_values(bg, v) - shift * v
         out[~inside] = 0.0
         return out.reshape(-1)
 
-    def apply_shifted(flat: np.ndarray) -> np.ndarray:
-        v = flat.reshape(shape).copy()
-        v[~inside] = 0.0
-        out = _conformal_values(bg, v) - sigma * v
-        out[~inside] = 0.0
-        return out.reshape(-1)
-
-    op = LinearOperator((npts, npts), matvec=apply_shifted, dtype=np.float64)
+    op = LinearOperator((npts, npts), matvec=lambda x: apply_masked(x, sigma), dtype=np.float64)
 
     x = inside.astype(np.float64).reshape(-1)
     x /= np.linalg.norm(x)
     best_residual = math.inf
     lam = 0.0
     for it in range(1, max_iter + 1):
-        y, _info = cg(op, x, x0=x, rtol=1e-12, atol=0.0, maxiter=10 * npts)
+        y, info = cg(op, x, x0=x, rtol=1e-12, atol=0.0, maxiter=10 * npts)
+        if info != 0:
+            raise EigenConvergenceError(
+                f"inner CG solve failed (info {info}) at iteration {it}", best_residual
+            )
         y = y.reshape(shape)
         y[~inside] = 0.0
         y = y.reshape(-1)
@@ -86,7 +84,7 @@ def dirichlet_eigen(
         if norm == 0.0:
             raise EigenConvergenceError("inverse iteration collapsed to zero", best_residual)
         x = y / norm
-        lx = apply_l(x)
+        lx = apply_masked(x)
         lam = float(np.dot(x, lx))
         scale = float(np.abs(x).max())
         residual = float(np.abs(lx - lam * x).max()) / scale
@@ -105,7 +103,7 @@ def dirichlet_eigen(
     if float(x.sum()) < 0.0:
         x = -x
     phi_vals = (x / float(x.max())).reshape(shape)
-    lphi = apply_l(phi_vals.reshape(-1)).reshape(shape)
+    lphi = apply_masked(phi_vals.reshape(-1)).reshape(shape)
     residual = float(np.abs(lphi - lam * phi_vals).max())
     return EigenResult(lam, ScalarField(bg.grid, phi_vals), residual, it)
 

@@ -188,3 +188,33 @@ class TestVerifyCommand:
         rc = main(["verify", "--scenario", str(constant_scn), "--out", str(out)])
         assert rc == 1
         assert "FAIL energy_monotone" in capsys.readouterr().out
+
+
+class TestScenarioBoundary:
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "seed = x",
+            "flow.record_every = x",
+            "f.bump.a.amplitude = 1.0",
+            "omega.type = ball\nomega.center = 0.5 0.5 0.5",
+            "omega.type = superlevel\nomega.eps = x",
+            "f.bump.0.amplitude = 1.0\nf.bump.0.width = 0.1\nf.bump.0.center = a b c",
+            "flow.cfl_fraction = 2",
+        ],
+        ids=[
+            "seed",
+            "record_every",
+            "bump_index",
+            "ball_without_radius",
+            "omega_eps",
+            "bump_center",
+            "cfl_fraction",
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, lines):
+        bad = tmp_path / "bad.txt"
+        # Drop the base's record_every so that case is not a duplicate key.
+        bad.write_text(CONSTANT.replace("flow.record_every = 20\n", "") + lines + "\n")
+        assert main(["eigen", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error:")

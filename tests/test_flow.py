@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import yamabeflow as yf
+from yamabeflow import flow as flowmod
 from yamabeflow.errors import PositivityCollapseError
 from yamabeflow.flow import FlowState, RunCarry
 from yamabeflow.grid import _fsum
@@ -157,6 +158,33 @@ class TestRunOutcomes:
         # Records at steps 0, 10, 20 plus the stopping step 25.
         assert len(traj.records) == 4
         assert traj.records[-1].t == traj.final.t
+
+
+class TestEvaluationCount:
+    def test_each_accepted_state_evaluated_once(self, grid8, monkeypatch):
+        # One evaluation per accepted state, plus RK4 stages 2-4 of each step.
+        bg = trapped_bump_background(8)
+        calls = []
+        halved = []
+        curvature, step = flowmod._curvature_values, flowmod.step
+
+        def counted_curvature(*args):
+            calls.append(1)
+            return curvature(*args)
+
+        def checked_step(bg_, state, dt, *rest):
+            out = step(bg_, state, dt, *rest)
+            halved.append(out.dt_last < dt)
+            return out
+
+        monkeypatch.setattr(flowmod, "_curvature_values", counted_curvature)
+        monkeypatch.setattr(flowmod, "step", checked_step)
+        k = 10
+        cfg = yf.FlowConfig(t_max=10.0, max_steps=k, record_every=3)
+        traj = yf.run(bg, yf.ScalarField.constant(grid8, 1.0), cfg)
+        assert traj.final.step == k
+        assert halved == [False] * k
+        assert len(calls) == 1 + 4 * k
 
 
 class TestDissipationAccumulator:

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 import yamabeflow as yf
+from yamabeflow import spectral
+from yamabeflow.errors import EigenConvergenceError
 from yamabeflow.grid import SubdomainMask
 
 from conftest import constant_background, unit_grid
@@ -111,6 +113,14 @@ class TestStructure:
     def test_rejects_nonpositive_tol(self, bg8):
         with pytest.raises(ValueError):
             yf.dirichlet_eigen(bg8, SubdomainMask.full(bg8.grid), tol=0.0)
+
+    def test_failed_inner_solve_raises(self, bg8, monkeypatch):
+        def failing_cg(op, b, **kwargs):
+            return b.copy(), 1
+
+        monkeypatch.setattr(spectral, "cg", failing_cg)
+        with pytest.raises(EigenConvergenceError, match="inner CG"):
+            yf.dirichlet_eigen(bg8, ball_mask(bg8.grid, (0.5, 0.5, 0.5), 0.3))
 
 
 class TestSlabAnalytic:
