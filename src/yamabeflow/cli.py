@@ -54,15 +54,23 @@ def _csv_row(rec: DiagnosticsRecord, orders) -> str:
 
 
 def _parse_until(value: str) -> tuple[float | None, int | None]:
-    if value.endswith("steps"):
-        return None, int(value[: -len("steps")])
-    return float(value), None
+    """``--until`` type: a positive time ``t`` or ``<k>steps``, else a usage error."""
+    try:
+        if value.endswith("steps"):
+            steps = int(value[: -len("steps")])
+            if steps >= 0:
+                return None, steps
+        elif float(value) > 0.0:
+            return float(value), None
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive time t or '<k>steps', got {value!r}")
 
 
-def _apply_until(cfg: FlowConfig, until: str | None) -> FlowConfig:
+def _apply_until(cfg: FlowConfig, until: tuple | None) -> FlowConfig:
     if until is None:
         return cfg
-    t_max, max_steps = _parse_until(until)
+    t_max, max_steps = until
     if t_max is not None:
         return dataclasses.replace(cfg, t_max=t_max)
     return dataclasses.replace(cfg, max_steps=max_steps)
@@ -173,9 +181,7 @@ def cmd_eigen(args) -> int:
 def cmd_check(args) -> int:
     scn = load_scenario(args.scenario)
     mask = scn.omega_mask()
-    dilation = int(scn.supersolution.get("dilation", "2"))
-    band = int(scn.supersolution.get("band", "2"))
-    report = hyp.evaluate_hypotheses(scn.background, mask, dilation=dilation, band=band)
+    report = hyp.evaluate_hypotheses(scn.background, mask, **scn.supersolution)
     print(f"lambda_omega = {_fmt(report.lambda_omega)}")
     print(f"sup_f_omega = {_fmt(report.sup_f_omega)}")
     print(f"inf_absf_complement = {_fmt(report.inf_absf_complement)}")
@@ -188,10 +194,8 @@ def cmd_check(args) -> int:
 def cmd_supersolution(args) -> int:
     scn = load_scenario(args.scenario)
     mask = scn.omega_mask()
-    dilation = int(scn.supersolution.get("dilation", "2"))
-    band = int(scn.supersolution.get("band", "2"))
     try:
-        cert = hyp.build_supersolution(scn.background, mask, dilation=dilation, band=band)
+        cert = hyp.build_supersolution(scn.background, mask, **scn.supersolution)
     except (DeltaWindowEmptyError, ValueError, EigenConvergenceError) as exc:
         print(f"FAIL supersolution: {exc}", file=sys.stderr)
         return 1
@@ -279,12 +283,16 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} dissipation_identity error={err:.3e}")
         if not ok:
             failures.append("dissipation_identity")
+    else:
+        print(f"SKIP dissipation_identity: {len(records)} records, need 10")
 
     if traj.outcome == "converged":
         decay = diag.decay_check(traj, threshold=args.decay_threshold)
         print(f"{'PASS' if decay.passed else 'FAIL'} decay")
         if not decay.passed:
             failures.append("decay")
+    else:
+        print(f"SKIP decay: outcome {traj.outcome}, not converged")
 
     return 0 if not failures else 1
 
@@ -303,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate the flow and write CSV + snapshots")
     common(p_run)
-    p_run.add_argument("--until", help="override stop: a time t, or '<k>steps'")
+    p_run.add_argument("--until", type=_parse_until, help="override stop: a time t, or '<k>steps'")
     p_run.add_argument("--checkpoint-every", type=int, default=0, help="steps between checkpoints")
     p_run.set_defaults(func=cmd_run)
 
     p_res = sub.add_parser("resume", help="continue a run from its checkpoint")
     common(p_res)
-    p_res.add_argument("--until", help="override stop: a time t, or '<k>steps'")
+    p_res.add_argument("--until", type=_parse_until, help="override stop: a time t, or '<k>steps'")
     p_res.add_argument("--checkpoint-every", type=int, default=0)
     p_res.set_defaults(func=cmd_resume)
 

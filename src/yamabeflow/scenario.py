@@ -208,9 +208,7 @@ def load_scenario(path) -> Scenario:
         key.split(".", 1)[1]: value for key, value in kv.items() if key.startswith("omega.")
     }
     supersolution = {
-        key.split(".", 1)[1]: value
-        for key, value in kv.items()
-        if key.startswith("supersolution.")
+        key: _get(kv, f"supersolution.{key}", 2, conv=int) for key in ("dilation", "band")
     }
     return Scenario(
         name=kv.get("name", path.stem),

@@ -32,17 +32,21 @@ def write_field(path, field: ScalarField) -> None:
 
 def read_field(path) -> ScalarField:
     raw = Path(path).read_bytes()
-    magic, version, n = struct.unpack_from("<4sII", raw, 0)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    off = 12
-    sizes = struct.unpack_from(f"<{n}I", raw, off)
-    off += 4 * n
-    lengths = struct.unpack_from(f"<{n}d", raw, off)
-    off += 8 * n
+    try:
+        magic, version, n = struct.unpack_from("<4sII", raw, 0)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        sizes = struct.unpack_from(f"<{n}I", raw, 12)
+        lengths = struct.unpack_from(f"<{n}d", raw, 12 + 4 * n)
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated header: {exc}") from exc
+    off = 12 + 12 * n
     grid = GridSpec(n, sizes, lengths)
+    expected = off + 8 * grid.num_points
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes for grid {sizes}, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8", count=grid.num_points, offset=off)
     return ScalarField(grid, values.astype(np.float64))
 

@@ -1,11 +1,11 @@
 """Principal Dirichlet eigenpairs of the conformal Laplacian on masked subdomains.
 
-Matrix-free shifted inverse iteration: the operator is shifted below its
-spectrum (any shift under ``min R0 - 1`` works because the masked Laplacian
-part is positive semidefinite), which makes it an SPD M-matrix; each inverse
-application is a conjugate-gradient solve restricted to the mask.  The
-M-matrix structure also keeps the iterates nonnegative, so the returned
-eigenfunction is the principal (nonnegative) one.
+Shifted inverse iteration, with CG on the operator assembled over the mask
+points.  The operator is shifted below its spectrum (any shift under
+``min R0 - 1`` works because the masked Laplacian part is positive
+semidefinite), which makes it an SPD M-matrix; the M-matrix structure also
+keeps the iterates nonnegative, so the returned eigenfunction is the
+principal (nonnegative) one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy import sparse
+from scipy.sparse.linalg import cg
 
 from .errors import EigenConvergenceError
 from .grid import ScalarField, SubdomainMask
@@ -32,6 +33,23 @@ class EigenResult:
     phi: ScalarField
     residual: float
     iterations: int
+
+
+def _masked_operator(bg: Background, mask: SubdomainMask) -> sparse.csr_array:
+    """``-c_n Lap + R0`` on the mask points in row-major order, couplings to outside dropped."""
+    k = int(np.count_nonzero(mask.inside))
+    index = np.full(bg.grid.shape, -1)
+    index[mask.inside] = np.arange(k)
+    rows, cols, vals = [np.arange(k)], [np.arange(k)], [bg.r0.values[mask.inside]]
+    for axis, h in enumerate(bg.grid.spacings):
+        vals[0] = vals[0] + bg.c_n * 2.0 / (h * h)
+        for shift in (-1, 1):
+            nb = np.roll(index, shift, axis=axis)[mask.inside]
+            rows.append(np.flatnonzero(nb >= 0))
+            cols.append(nb[nb >= 0])
+            vals.append(np.full(rows[-1].size, -bg.c_n / (h * h)))
+    coords = (np.concatenate(rows), np.concatenate(cols))
+    return sparse.csr_array((np.concatenate(vals), coords), shape=(k, k))
 
 
 def dirichlet_eigen(
@@ -52,45 +70,27 @@ def dirichlet_eigen(
     if mask.is_empty:
         return EigenResult(math.inf, ScalarField.zeros(bg.grid), 0.0, 0)
 
-    inside = mask.inside
-    shape = bg.grid.shape
-    npts = bg.grid.num_points
-    sigma = bg.r0.min() - 1.0
+    lmat = _masked_operator(bg, mask)
+    k = lmat.shape[0]
+    shifted = lmat - (bg.r0.min() - 1.0) * sparse.eye_array(k, format="csr")
 
-    def apply_masked(flat: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        # L - shift on the mask, with values outside it taken as zero.
-        v = flat.reshape(shape).copy()
-        v[~inside] = 0.0
-        out = _conformal_values(bg, v) - shift * v
-        out[~inside] = 0.0
-        return out.reshape(-1)
-
-    op = LinearOperator((npts, npts), matvec=lambda x: apply_masked(x, sigma), dtype=np.float64)
-
-    x = inside.astype(np.float64).reshape(-1)
-    x /= np.linalg.norm(x)
+    x = np.full(k, 1.0 / math.sqrt(k))
     best_residual = math.inf
-    lam = 0.0
     for it in range(1, max_iter + 1):
-        y, info = cg(op, x, x0=x, rtol=1e-12, atol=0.0, maxiter=10 * npts)
+        y, info = cg(shifted, x, x0=x, rtol=1e-12, atol=0.0, maxiter=10 * k)
         if info != 0:
-            raise EigenConvergenceError(
-                f"inner CG solve failed (info {info}) at iteration {it}", best_residual
-            )
-        y = y.reshape(shape)
-        y[~inside] = 0.0
-        y = y.reshape(-1)
+            msg = f"inner CG solve failed (info {info}) at iteration {it}"
+            raise EigenConvergenceError(msg, best_residual)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             raise EigenConvergenceError("inverse iteration collapsed to zero", best_residual)
         x = y / norm
-        lx = apply_masked(x)
+        lx = lmat @ x
         lam = float(np.dot(x, lx))
-        scale = float(np.abs(x).max())
-        residual = float(np.abs(lx - lam * x).max()) / scale
+        residual = float(np.abs(lx - lam * x).max() / np.abs(x).max())
         best_residual = min(best_residual, residual)
         # Scale the target by the eigenvalue size: the roundoff floor of the
-        # stencil application grows with |lam|.
+        # operator application grows with |lam|.
         if residual <= tol * max(1.0, abs(lam)):
             break
     else:
@@ -100,11 +100,11 @@ def dirichlet_eigen(
             best_residual,
         )
 
-    if float(x.sum()) < 0.0:
-        x = -x
-    phi_vals = (x / float(x.max())).reshape(shape)
-    lphi = apply_masked(phi_vals.reshape(-1)).reshape(shape)
-    residual = float(np.abs(lphi - lam * phi_vals).max())
+    x = -x if float(x.sum()) < 0.0 else x
+    phi_vals = np.zeros(bg.grid.shape)
+    phi_vals[mask.inside] = x / float(x.max())
+    lphi = np.where(mask.inside, _conformal_values(bg, phi_vals) - lam * phi_vals, 0.0)
+    residual = float(np.abs(lphi).max())
     return EigenResult(lam, ScalarField(bg.grid, phi_vals), residual, it)
 
 

@@ -83,6 +83,16 @@ class TestRunCommand:
             for tok in row.split(","):
                 assert f"{float(tok):.17g}" == tok
 
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    @pytest.mark.parametrize("until", ["abc", "xsteps", "-1", "-2steps"])
+    def test_bad_until_is_usage_error(self, tmp_path, constant_scn, capsys, command, until):
+        argv = [command, "--scenario", str(constant_scn), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as info:
+            main(argv + [f"--until={until}"])
+        assert info.value.code == 2
+        assert "argument --until" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_scenario_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("grid.n = 3\n")
@@ -176,6 +186,16 @@ class TestVerifyCommand:
         assert "PASS envelopes" in printed
         assert "PASS dissipation_identity" in printed
 
+    def test_says_why_checks_are_skipped(self, tmp_path, constant_scn, capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "40steps"])
+        capsys.readouterr()
+        rc = main(["verify", "--scenario", str(constant_scn), "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "SKIP dissipation_identity: 3 records, need 10" in printed
+        assert "SKIP decay: outcome timeout, not converged" in printed
+
     def test_fails_on_tampered_energy(self, tmp_path, constant_scn, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "300steps"])
@@ -201,6 +221,8 @@ class TestScenarioBoundary:
             "omega.type = superlevel\nomega.eps = x",
             "f.bump.0.amplitude = 1.0\nf.bump.0.width = 0.1\nf.bump.0.center = a b c",
             "flow.cfl_fraction = 2",
+            "supersolution.dilation = x",
+            "supersolution.band = x",
         ],
         ids=[
             "seed",
@@ -210,6 +232,8 @@ class TestScenarioBoundary:
             "omega_eps",
             "bump_center",
             "cfl_fraction",
+            "supersolution_dilation",
+            "supersolution_band",
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, lines):

@@ -40,6 +40,31 @@ def test_anisotropic_grid_round_trip(tmp_path):
     assert np.array_equal(back.values, field.values)
 
 
+@pytest.mark.parametrize("edit", ["truncated", "trailing"])
+def test_length_checked_against_header(tmp_path, grid8, edit):
+    path = tmp_path / "u.yflo"
+    snapshots.write_field(path, yf.ScalarField.constant(grid8, 1.0))
+    raw = path.read_bytes()
+    expected = len(raw)
+    raw = raw[:-8] if edit == "truncated" else raw + b"\0"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        snapshots.read_field(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert f"expected {expected} bytes" in message and f"got {len(raw)}" in message
+
+
+def test_truncated_header_rejected(tmp_path, grid8):
+    path = tmp_path / "u.yflo"
+    snapshots.write_field(path, yf.ScalarField.constant(grid8, 1.0))
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(ValueError, match="truncated header") as info:
+        snapshots.read_field(path)
+    message = str(info.value)
+    assert str(path) in message and "at least 24 bytes" in message and "size is 20" in message
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.yflo"
     path.write_bytes(b"NOPE" + b"\x00" * 100)

@@ -12,11 +12,12 @@ from yamabeflow.grid import SubdomainMask
 from conftest import constant_background, unit_grid
 
 
-def dense_masked_eigenpair(bg, mask):
-    """Independent oracle: assemble the masked operator densely and call eigh.
+def dense_masked_operator(bg, mask):
+    """Independent oracle: assemble the masked operator densely, point by point.
 
     Rows/columns are restricted to mask points; couplings to outside points
     are dropped, which is exactly the Dirichlet (extend-by-zero) condition.
+    Returns the matrix and the flat grid indices of its rows.
     """
     grid = bg.grid
     shape = grid.shape
@@ -37,10 +38,16 @@ def dense_masked_eigenpair(bg, mask):
                 if nb_flat in pos:
                     mat[j, pos[nb_flat]] -= bg.c_n / (h * h)
         mat[j, j] = diag
+    return mat, flat_idx
+
+
+def dense_masked_eigenpair(bg, mask):
+    """Oracle eigenpair: ``eigh`` on the dense masked operator."""
+    mat, flat_idx = dense_masked_operator(bg, mask)
     vals, vecs = scipy.linalg.eigh(mat)
-    phi = np.zeros(grid.num_points)
+    phi = np.zeros(bg.grid.num_points)
     phi[flat_idx] = vecs[:, 0]
-    return float(vals[0]), phi.reshape(shape)
+    return float(vals[0]), phi.reshape(bg.grid.shape)
 
 
 def ball_mask(grid, center, radius):
@@ -83,6 +90,31 @@ class TestAgainstDenseOracle:
         assert result.lam == pytest.approx(lam_ref, rel=1e-8)
 
 
+class TestAssembledOperator:
+    """The sparse operator the eigen solve runs on equals the dense oracle's matrix."""
+
+    @staticmethod
+    def assert_matches_oracle(bg, mask):
+        mat, _ = dense_masked_operator(bg, mask)
+        assembled = spectral._masked_operator(bg, mask)
+        assert assembled.shape == mat.shape
+        assert np.array_equal(assembled.toarray(), mat)
+
+    def test_ball_mask_8(self, bg8):
+        self.assert_matches_oracle(bg8, ball_mask(bg8.grid, (0.5, 0.5, 0.5), 0.3))
+
+    def test_random_mask_8(self, grid8):
+        rng = np.random.default_rng(42)
+        mask = SubdomainMask(grid8, rng.random(grid8.shape) < 0.3)
+        self.assert_matches_oracle(constant_background(grid8, r0=-3.0), mask)
+
+    def test_variable_r0(self, grid8):
+        rng = np.random.default_rng(9)
+        r0 = yf.ScalarField(grid8, -1.0 - rng.random(grid8.shape))
+        bg = yf.Background(grid8, r0, yf.ScalarField.constant(grid8, -1.0))
+        self.assert_matches_oracle(bg, ball_mask(grid8, (0.25, 0.5, 0.75), 0.3))
+
+
 class TestStructure:
     def test_empty_mask_convention(self, bg8):
         result = yf.dirichlet_eigen(bg8, SubdomainMask.empty(bg8.grid))
@@ -92,6 +124,16 @@ class TestStructure:
     def test_full_mask_ground_state_is_constant_mode(self, grid8):
         bg = constant_background(grid8, r0=-2.0)
         result = yf.dirichlet_eigen(bg, SubdomainMask.full(grid8))
+        assert result.lam == pytest.approx(-2.0, abs=1e-10)
+        assert np.allclose(result.phi.values, 1.0, atol=1e-8)
+
+    def test_full_mask_24_is_cheap_and_constant(self):
+        # The constant mode is an exact eigenvector, so CG on the assembled
+        # operator finishes at once; a direct factorization of this 13824-point
+        # operator would take seconds.
+        g = unit_grid(24)
+        bg = constant_background(g, r0=-2.0)
+        result = yf.dirichlet_eigen(bg, SubdomainMask.full(g))
         assert result.lam == pytest.approx(-2.0, abs=1e-10)
         assert np.allclose(result.phi.values, 1.0, atol=1e-8)
 
