@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,15 +20,13 @@ from . import hypotheses as hyp
 from . import snapshots
 from .diagnostics import DiagnosticsRecord
 from .errors import DeltaWindowEmptyError, EigenConvergenceError, ScenarioError
-from .flow import FlowConfig, FlowState, RunCarry, Trajectory
+from .flow import Trajectory
 from .operators import stationary_residual
 from .scenario import load_scenario
 from .spectral import dirichlet_eigen
 
 CSV_NAME = "trajectory.csv"
 SUMMARY_NAME = "summary.txt"
-CHECKPOINT_U = "checkpoint.u.yflo"
-CHECKPOINT_STATE = "checkpoint.state.yflo"
 FINAL_U = "final.u.yflo"
 
 
@@ -53,27 +52,23 @@ def _csv_row(rec: DiagnosticsRecord, orders) -> str:
     return ",".join(_fmt(v) for v in vals)
 
 
-def _parse_until(value: str) -> tuple[float | None, int | None]:
-    """``--until`` type: a positive time ``t`` or ``<k>steps``, else a usage error."""
+def _parse_count(value: str) -> int:
+    """``--checkpoint-every`` type: an integer k >= 0, else a usage error."""
+    if value.isdecimal():
+        return int(value)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+
+
+def _parse_until(value: str) -> dict:
+    """``--until`` type: the ``FlowConfig`` stop for a positive time ``t`` or ``<k>steps``."""
     try:
         if value.endswith("steps"):
-            steps = int(value[: -len("steps")])
-            if steps >= 0:
-                return None, steps
-        elif float(value) > 0.0:
-            return float(value), None
-    except ValueError:
+            return {"max_steps": _parse_count(value[: -len("steps")])}
+        if float(value) > 0.0:
+            return {"t_max": float(value)}
+    except (ValueError, argparse.ArgumentTypeError):
         pass
     raise argparse.ArgumentTypeError(f"expected a positive time t or '<k>steps', got {value!r}")
-
-
-def _apply_until(cfg: FlowConfig, until: tuple | None) -> FlowConfig:
-    if until is None:
-        return cfg
-    t_max, max_steps = until
-    if t_max is not None:
-        return dataclasses.replace(cfg, t_max=t_max)
-    return dataclasses.replace(cfg, max_steps=max_steps)
 
 
 def _write_summary(out: Path, traj: Trajectory, resid: float) -> None:
@@ -87,77 +82,51 @@ def _write_summary(out: Path, traj: Trajectory, resid: float) -> None:
     (out / SUMMARY_NAME).write_text("\n".join(lines) + "\n")
 
 
-def _run_loop(
-    scn, cfg, out: Path, start=None, carry=None, csv_mode="w", checkpoint_every=0
-) -> Trajectory:
+def _run_loop(scn, args, start=None, carry=None) -> int:
+    """The loop that ``run`` starts and ``resume`` continues from ``start``/``carry``."""
+    cfg = dataclasses.replace(scn.flow, **(args.until or {}))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     orders = cfg.resolve_orders(scn.grid.n)
-    csv_path = out / CSV_NAME
-    with open(csv_path, csv_mode) as csv:
-        if csv_mode == "w":
+    with open(out / CSV_NAME, "w" if start is None else "a") as csv:
+        if start is None:
             csv.write(_csv_header(orders) + "\n")
 
         def on_record(rec):
             csv.write(_csv_row(rec, orders) + "\n")
             csv.flush()
 
-        def on_checkpoint(state, run_carry):
-            snapshots.write_field(out / CHECKPOINT_U, state.u)
-            snapshots.write_sidecar(
-                out / CHECKPOINT_STATE,
-                step=state.step,
-                records_written=run_carry.records_written,
-                last_record_step=run_carry.last_record_step,
-                t=state.t,
-                dt_last=state.dt_last,
-                dissipation_cum=run_carry.dissipation_cum,
-            )
-
         traj = flowmod.run(
-            scn.background,
-            scn.u0,
-            cfg,
-            start=start,
-            carry=carry,
-            on_record=on_record,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
+            scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
+            checkpoint_every=args.checkpoint_every,
+            on_checkpoint=functools.partial(snapshots.write_checkpoint, out),
         )
     snapshots.write_field(out / FINAL_U, traj.final.u)
     _write_summary(out, traj, stationary_residual(scn.background, traj.final.u))
-    return traj
+    print(f"outcome: {traj.outcome} at t={traj.final.t:g} after {traj.final.step} steps")
+    return 0
 
 
 def cmd_run(args) -> int:
-    scn = load_scenario(args.scenario)
-    cfg = _apply_until(scn.flow, args.until)
-    traj = _run_loop(scn, cfg, Path(args.out), checkpoint_every=args.checkpoint_every)
-    print(f"outcome: {traj.outcome} at t={traj.final.t:g} after {traj.final.step} steps")
-    return 0
+    return _run_loop(load_scenario(args.scenario), args)
 
 
 def cmd_resume(args) -> int:
     scn = load_scenario(args.scenario)
-    cfg = _apply_until(scn.flow, args.until)
     out = Path(args.out)
-    side = snapshots.read_sidecar(out / CHECKPOINT_STATE)
-    u = snapshots.read_field(out / CHECKPOINT_U)
-    start = FlowState(u, side["t"], side["step"], side["dt_last"])
-    carry = RunCarry(
-        dissipation_cum=side["dissipation_cum"],
-        records_written=side["records_written"],
-        last_record_step=side["last_record_step"],
-    )
-    csv_path = out / CSV_NAME
-    lines = csv_path.read_text().splitlines()
-    kept = lines[: 1 + side["records_written"]]
-    csv_path.write_text("\n".join(kept) + "\n")
-    traj = _run_loop(
-        scn, cfg, out, start=start, carry=carry, csv_mode="a",
-        checkpoint_every=args.checkpoint_every,
-    )
-    print(f"outcome: {traj.outcome} at t={traj.final.t:g} after {traj.final.step} steps")
-    return 0
+    try:
+        start, carry = snapshots.read_checkpoint(out)
+        lines = (out / CSV_NAME).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot resume from {out}: {exc}") from exc
+    if start.u.grid != scn.grid:
+        raise ScenarioError(f"checkpoint grid {start.u.grid} != scenario grid {scn.grid}")
+    if len(lines) < 1 + carry.records_written:
+        raise ScenarioError(
+            f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {carry.records_written}"
+        )
+    (out / CSV_NAME).write_text("\n".join(lines[: 1 + carry.records_written]) + "\n")
+    return _run_loop(scn, args, start, carry)
 
 
 def cmd_eigen(args) -> int:
@@ -202,15 +171,7 @@ def cmd_supersolution(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     snapshots.write_field(out / "ubar.yflo", cert.ubar)
-    payload = {
-        "delta": cert.delta,
-        "m0": cert.m0,
-        "m1": cert.m1,
-        "lambda_d": cert.lambda_d,
-        "min_l_ubar": cert.min_l_ubar,
-        "delta_lo": cert.delta_lo,
-        "delta_hi": cert.delta_hi,
-    }
+    payload = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.name != "ubar"}
     (out / "certificate.json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
     print(
         f"delta = {cert.delta:g} in [{cert.delta_lo:g}, {cert.delta_hi:g}], "
@@ -309,17 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=needs_out, help="output directory")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; outputs are thread-count independent")
 
-    p_run = sub.add_parser("run", help="integrate the flow and write CSV + snapshots")
-    common(p_run)
-    p_run.add_argument("--until", type=_parse_until, help="override stop: a time t, or '<k>steps'")
-    p_run.add_argument("--checkpoint-every", type=int, default=0, help="steps between checkpoints")
-    p_run.set_defaults(func=cmd_run)
-
-    p_res = sub.add_parser("resume", help="continue a run from its checkpoint")
-    common(p_res)
-    p_res.add_argument("--until", type=_parse_until, help="override stop: a time t, or '<k>steps'")
-    p_res.add_argument("--checkpoint-every", type=int, default=0)
-    p_res.set_defaults(func=cmd_resume)
+    for name, func, text in (
+        ("run", cmd_run, "integrate the flow and write CSV + snapshots"),
+        ("resume", cmd_resume, "continue a run from its checkpoint"),
+    ):
+        p_loop = sub.add_parser(name, help=text)
+        common(p_loop)
+        p_loop.add_argument(
+            "--until", type=_parse_until, help="override stop: a time t, or '<k>steps'"
+        )
+        p_loop.add_argument(
+            "--checkpoint-every", type=_parse_count, default=0, help="steps between checkpoints"
+        )
+        p_loop.set_defaults(func=func)
 
     p_eig = sub.add_parser("eigen", help="principal Dirichlet eigenpair on the scenario subdomain")
     common(p_eig, needs_out=False)

@@ -224,6 +224,8 @@ def run(
     """
     require_same_grid(bg, u0)
     require_positive(u0, "u0")
+    if start is not None:
+        require_same_grid(bg, start.u)
     orders = cfg.resolve_orders(bg.n)
     state = start if start is not None else FlowState(u0, 0.0, 0, 0.0)
     carry = carry if carry is not None else RunCarry()

@@ -11,7 +11,7 @@ construction below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,6 +147,10 @@ def _delta_window(
     return delta_lo, delta_hi
 
 
+def _c_omega(bg: Background, m0: float, m1: float, lambda_d: float) -> float:
+    return math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
+
+
 def evaluate_hypotheses(
     bg: Background,
     omega: SubdomainMask,
@@ -157,17 +161,9 @@ def evaluate_hypotheses(
     """Full report: eigenvalue condition plus the size condition via ``C_Omega``."""
     partial = check_h1(bg, omega, tol=tol)
     _b, m0, m1, lambda_d = _construction(bg, omega, dilation, band, tol)
-    c_omega = math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
+    c_omega = _c_omega(bg, m0, m1, lambda_d)
     h2 = bool(partial.sup_f_omega <= c_omega * partial.inf_absf_complement)
-    return HypothesisReport(
-        omega,
-        partial.lambda_omega,
-        partial.h1_holds,
-        partial.sup_f_omega,
-        partial.inf_absf_complement,
-        c_omega,
-        h2,
-    )
+    return replace(partial, c_omega=c_omega, h2_holds=h2)
 
 
 def build_supersolution(
@@ -197,8 +193,7 @@ def build_supersolution(
         bg, report.sup_f_omega, report.inf_absf_complement, m0, m1, lambda_d
     )
     if delta_lo > delta_hi:
-        c_omega = math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
-        raise DeltaWindowEmptyError(delta_lo, delta_hi, c_omega)
+        raise DeltaWindowEmptyError(delta_lo, delta_hi, _c_omega(bg, m0, m1, lambda_d))
     if math.isinf(delta_hi):
         delta = 2.0 * delta_lo if delta_lo > 0.0 else 1.0
     else:

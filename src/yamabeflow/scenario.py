@@ -207,9 +207,11 @@ def load_scenario(path) -> Scenario:
     omega_spec = {
         key.split(".", 1)[1]: value for key, value in kv.items() if key.startswith("omega.")
     }
-    supersolution = {
-        key: _get(kv, f"supersolution.{key}", 2, conv=int) for key in ("dilation", "band")
-    }
+    dilation, band = (_get(kv, f"supersolution.{key}", 2, conv=int) for key in ("dilation", "band"))
+    if not 1 <= band <= dilation:
+        raise ScenarioError(
+            f"supersolution needs 1 <= band <= dilation, got band {band}, dilation {dilation}"
+        )
     return Scenario(
         name=kv.get("name", path.stem),
         grid=grid,
@@ -217,5 +219,5 @@ def load_scenario(path) -> Scenario:
         u0=u0,
         flow=flow,
         omega_spec=omega_spec,
-        supersolution=supersolution,
+        supersolution={"dilation": dilation, "band": band},
     )

@@ -2,8 +2,13 @@
 
 Field layout: magic ``YFLO``, u32-LE format version, u32-LE dimension,
 per-axis u32-LE sizes, per-axis f64-LE lengths, then the row-major f64-LE
-values.  A checkpoint is a field file for ``u`` plus a sidecar with the
-scalar loop state in the same numeric encoding.
+values.
+
+A checkpoint is a pair of files in a run's output directory:
+``checkpoint.u.yflo``, the field ``u``, and ``checkpoint.state.yflo``, a
+sidecar with the scalar loop state of ``FlowState`` and ``RunCarry`` in the
+same numeric encoding.  This module is the only place that knows the two
+names, the sidecar layout and which fields go in it.
 """
 
 from __future__ import annotations
@@ -13,12 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .flow import FlowState, RunCarry
 from .grid import GridSpec, ScalarField
 
 MAGIC = b"YFLO"
 VERSION = 1
+CHECKPOINT_U = "checkpoint.u.yflo"
+CHECKPOINT_STATE = "checkpoint.state.yflo"
 
-__all__ = ["write_field", "read_field", "write_sidecar", "read_sidecar", "MAGIC", "VERSION"]
+__all__ = [
+    "write_field", "read_field", "write_sidecar", "read_sidecar",
+    "write_checkpoint", "read_checkpoint", "MAGIC", "VERSION",
+]
 
 
 def write_field(path, field: ScalarField) -> None:
@@ -51,49 +62,41 @@ def read_field(path) -> ScalarField:
     return ScalarField(grid, values.astype(np.float64))
 
 
-_SIDECAR = "<4sIIIdddd"
+# step and records_written as u32; last_record_step as f64, since it is -1
+# before the first record; then t, dt_last and dissipation_cum.
+_SIDECAR = struct.Struct("<4sIIIdddd")
 
 
-def write_sidecar(
-    path,
-    *,
-    step: int,
-    records_written: int,
-    last_record_step: int,
-    t: float,
-    dt_last: float,
-    dissipation_cum: float,
-) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                _SIDECAR,
-                MAGIC,
-                VERSION,
-                step,
-                records_written,
-                float(last_record_step),
-                t,
-                dt_last,
-                dissipation_cum,
-            )
-        )
-
-
-def read_sidecar(path) -> dict:
-    raw = Path(path).read_bytes()
-    magic, version, step, records_written, last_record_step, t, dt_last, diss = struct.unpack(
-        _SIDECAR, raw
+def write_sidecar(path, state: FlowState, carry: RunCarry) -> None:
+    raw = _SIDECAR.pack(
+        MAGIC, VERSION, state.step, carry.records_written, float(carry.last_record_step),
+        state.t, state.dt_last, carry.dissipation_cum,
     )
+    Path(path).write_bytes(raw)
+
+
+def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
+    """The loop state stored at ``path``, around the field ``u`` it belongs to."""
+    raw = Path(path).read_bytes()
+    if len(raw) != _SIDECAR.size:
+        raise ValueError(f"{path}: expected {_SIDECAR.size} bytes for a sidecar, got {len(raw)}")
+    magic, version, step, records, last_record, t, dt_last, diss = _SIDECAR.unpack(raw)
     if magic != MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    return {
-        "step": step,
-        "records_written": records_written,
-        "last_record_step": int(last_record_step),
-        "t": t,
-        "dt_last": dt_last,
-        "dissipation_cum": diss,
-    }
+    carry = RunCarry(diss, records, int(last_record))
+    return FlowState(u, t, step, dt_last), carry
+
+
+def write_checkpoint(out, state: FlowState, carry: RunCarry) -> None:
+    """Write the checkpoint pair for ``state`` and ``carry`` into directory ``out``."""
+    out = Path(out)
+    write_field(out / CHECKPOINT_U, state.u)
+    write_sidecar(out / CHECKPOINT_STATE, state, carry)
+
+
+def read_checkpoint(out) -> tuple[FlowState, RunCarry]:
+    """Read the checkpoint pair that ``write_checkpoint`` left in directory ``out``."""
+    out = Path(out)
+    return read_sidecar(out / CHECKPOINT_STATE, read_field(out / CHECKPOINT_U))

@@ -84,13 +84,18 @@ class TestRunCommand:
                 assert f"{float(tok):.17g}" == tok
 
     @pytest.mark.parametrize("command", ["run", "resume"])
-    @pytest.mark.parametrize("until", ["abc", "xsteps", "-1", "-2steps"])
-    def test_bad_until_is_usage_error(self, tmp_path, constant_scn, capsys, command, until):
+    @pytest.mark.parametrize(
+        "option",
+        ["--until=abc", "--until=xsteps", "--until=-1", "--until=-2steps", "--checkpoint-every=-1"],
+        ids=["abc", "xsteps", "-1", "-2steps", "checkpoint_every_-1"],
+    )
+    def test_bad_until_is_usage_error(self, tmp_path, constant_scn, capsys, command, option):
+        """A bad ``--until`` or ``--checkpoint-every`` value is a usage error."""
         argv = [command, "--scenario", str(constant_scn), "--out", str(tmp_path / "o")]
         with pytest.raises(SystemExit) as info:
-            main(argv + [f"--until={until}"])
+            main(argv + [option])
         assert info.value.code == 2
-        assert "argument --until" in capsys.readouterr().err
+        assert f"argument {option.split('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_scenario_error_exit_code(self, tmp_path):
@@ -121,6 +126,26 @@ class TestDeterminism:
         assert (split / CSV_NAME).read_bytes() == (ref / CSV_NAME).read_bytes()
         assert (split / FINAL_U).read_bytes() == (ref / FINAL_U).read_bytes()
         assert (split / SUMMARY_NAME).read_bytes() == (ref / SUMMARY_NAME).read_bytes()
+
+    @pytest.mark.parametrize("case", ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv"])
+    def test_resume_refuses_unusable_checkpoint(self, tmp_path, constant_scn, capsys, case):
+        out = tmp_path / "out"
+        every = "0" if case == "no_checkpoint" else "5"
+        main(["run", "--scenario", str(constant_scn), "--out", str(out),
+              "--until", "10steps", "--checkpoint-every", every])
+        scn = constant_scn
+        if case == "grid_mismatch":
+            scn = tmp_path / "small.txt"
+            scn.write_text(CONSTANT.replace("grid.sizes = 8 8 8", "grid.sizes = 6 6 6"))
+        elif case == "no_csv":
+            (out / CSV_NAME).unlink()
+        elif case == "short_csv":  # the header only; the checkpoint counts the step-0 record
+            header = (out / CSV_NAME).read_text().splitlines()[0]
+            (out / CSV_NAME).write_text(header + "\n")
+        capsys.readouterr()
+        rc = main(["resume", "--scenario", str(scn), "--out", str(out), "--until", "20steps"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("scenario error:")
 
 
 class TestEigenCommand:
@@ -223,6 +248,8 @@ class TestScenarioBoundary:
             "flow.cfl_fraction = 2",
             "supersolution.dilation = x",
             "supersolution.band = x",
+            "supersolution.dilation = 0",
+            "supersolution.dilation = 2\nsupersolution.band = 3",
         ],
         ids=[
             "seed",
@@ -234,6 +261,8 @@ class TestScenarioBoundary:
             "cfl_fraction",
             "supersolution_dilation",
             "supersolution_band",
+            "supersolution_dilation_zero",
+            "supersolution_band_over_dilation",
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, lines):

@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 import yamabeflow as yf
 from yamabeflow import flow as flowmod
-from yamabeflow.errors import PositivityCollapseError
+from yamabeflow.errors import GridMismatchError, PositivityCollapseError
 from yamabeflow.flow import FlowState, RunCarry
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import _curvature_values
@@ -240,6 +240,13 @@ class TestResumeCarry:
         assert np.array_equal(second.final.u.values, full.final.u.values)
         assert second.final.t == full.final.t
         assert second.records[-1].dissipation_cum == full.records[-1].dissipation_cum
+
+    def test_start_on_another_grid_rejected(self, grid8):
+        bg = constant_background(grid8)
+        u0 = yf.ScalarField.constant(grid8, 1.0)
+        start = FlowState(yf.ScalarField.constant(unit_grid(6), 1.0), 0.0, 0, 0.0)
+        with pytest.raises(GridMismatchError):
+            yf.run(bg, u0, yf.FlowConfig(max_steps=1), start=start)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

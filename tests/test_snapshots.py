@@ -5,6 +5,7 @@ import pytest
 
 import yamabeflow as yf
 from yamabeflow import snapshots
+from yamabeflow.flow import RunCarry
 
 from conftest import unit_grid
 
@@ -82,30 +83,65 @@ def test_bad_version_rejected(tmp_path, grid8):
         snapshots.read_field(path)
 
 
-def test_sidecar_round_trip(tmp_path):
+def test_sidecar_round_trip(tmp_path, grid8):
     path = tmp_path / "state.yflo"
-    snapshots.write_sidecar(
-        path,
-        step=1234,
-        records_written=56,
-        last_record_step=1230,
-        t=0.725,
-        dt_last=1.25e-4,
-        dissipation_cum=3.5e-2,
-    )
-    side = snapshots.read_sidecar(path)
-    assert side == {
-        "step": 1234,
-        "records_written": 56,
-        "last_record_step": 1230,
-        "t": 0.725,
-        "dt_last": 1.25e-4,
-        "dissipation_cum": 3.5e-2,
-    }
+    u = yf.ScalarField.constant(grid8, 1.0)
+    state = yf.FlowState(u, 0.725, 1234, 1.25e-4)
+    carry = RunCarry(dissipation_cum=3.5e-2, records_written=56, last_record_step=1230)
+    snapshots.write_sidecar(path, state, carry)
+    back_state, back_carry = snapshots.read_sidecar(path, u)
+    assert back_state == state
+    assert back_carry == carry
+    assert type(back_carry.last_record_step) is int
 
 
-def test_sidecar_bad_magic(tmp_path):
+def test_sidecar_bad_magic(tmp_path, grid8):
     path = tmp_path / "state.yflo"
     path.write_bytes(b"XXXX" + b"\x00" * 44)  # correct length, wrong magic
     with pytest.raises(ValueError):
-        snapshots.read_sidecar(path)
+        snapshots.read_sidecar(path, yf.ScalarField.constant(grid8, 1.0))
+
+
+def test_sidecar_format_is_pinned(tmp_path, grid8):
+    # Checkpoints written by earlier versions must stay readable, so these 48
+    # bytes never change; last_record_step = -1 is stored as an f64.
+    path = tmp_path / "state.yflo"
+    state = yf.FlowState(yf.ScalarField.constant(grid8, 1.0), 0.725, 7, 1.25e-4)
+    carry = RunCarry(dissipation_cum=3.5e-2, records_written=0, last_record_step=-1)
+    snapshots.write_sidecar(path, state, carry)
+    assert path.read_bytes().hex() == (
+        "59464c4f010000000700000000000000000000000000f0bf"
+        "333333333333e73ffca9f1d24d62203fec51b81e85eba13f"
+    )
+
+
+@pytest.mark.parametrize("edit", ["truncated", "trailing"])
+def test_sidecar_length_checked(tmp_path, grid8, edit):
+    path = tmp_path / "state.yflo"
+    u = yf.ScalarField.constant(grid8, 1.0)
+    snapshots.write_sidecar(path, yf.FlowState(u, 0.5, 3, 0.1), RunCarry())
+    raw = path.read_bytes()
+    raw = raw[:30] if edit == "truncated" else raw + b"\0"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        snapshots.read_sidecar(path, u)
+    message = str(info.value)
+    assert str(path) in message
+    assert "expected 48 bytes" in message and f"got {len(raw)}" in message
+
+
+def test_checkpoint_round_trip_is_bitwise(tmp_path, grid8):
+    rng = np.random.default_rng(1)
+    u = yf.ScalarField(grid8, 1.0 + rng.random(grid8.shape))
+    state = yf.FlowState(u, 0.3, 40, 2.5e-4)
+    carry = RunCarry(dissipation_cum=1.5e-3, records_written=5, last_record_step=40)
+    snapshots.write_checkpoint(tmp_path, state, carry)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        snapshots.CHECKPOINT_STATE,
+        snapshots.CHECKPOINT_U,
+    ]
+    back_state, back_carry = snapshots.read_checkpoint(tmp_path)
+    assert back_state.u.grid == grid8
+    assert back_state.u.values.tobytes() == u.values.tobytes()
+    assert (back_state.t, back_state.step, back_state.dt_last) == (0.3, 40, 2.5e-4)
+    assert back_carry == carry
