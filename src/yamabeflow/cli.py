@@ -59,16 +59,26 @@ def _parse_count(value: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
 
 
+def _parse_positive(value: str) -> float:
+    """``--tol`` type and the time form of ``--until``: a positive number, else a usage error."""
+    try:
+        if float(value) > 0.0:
+            return float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {value!r}")
+
+
 def _parse_until(value: str) -> dict:
     """``--until`` type: the ``FlowConfig`` stop for a positive time ``t`` or ``<k>steps``."""
     try:
         if value.endswith("steps"):
             return {"max_steps": _parse_count(value[: -len("steps")])}
-        if float(value) > 0.0:
-            return {"t_max": float(value)}
-    except (ValueError, argparse.ArgumentTypeError):
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive time t or '<k>steps', got {value!r}")
+        return {"t_max": _parse_positive(value)}
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive time t or '<k>steps', got {value!r}"
+        ) from None
 
 
 def _write_summary(out: Path, traj: Trajectory, resid: float) -> None:
@@ -181,40 +191,30 @@ def cmd_supersolution(args) -> int:
 
 
 def _load_csv_records(path: Path) -> list[DiagnosticsRecord]:
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    lp_cols = {
-        i: float(name[len("residual_l"):])
-        for i, name in enumerate(header)
-        if name.startswith("residual_l") and name != "residual_sup"
-    }
-    idx = {name: i for i, name in enumerate(header)}
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    lp_cols = {k: float(k[len("residual_l"):]) for k in names if k.startswith("residual_l")}
     records = []
-    for line in lines[1:]:
-        vals = [float(v) for v in line.split(",")]
-        records.append(
-            DiagnosticsRecord(
-                t=vals[idx["t"]],
-                dt=vals[idx["dt"]],
-                energy=vals[idx["energy"]],
-                min_u=vals[idx["min_u"]],
-                max_u=vals[idx["max_u"]],
-                volume_g=vals[idx["volume_g"]],
-                residual_sup=vals[idx["residual_sup"]],
-                residual_lp={p: vals[i] for i, p in lp_cols.items()},
-                dissipation_cum=vals[idx["dissipation_cum"]],
-            )
-        )
+    for row in rows:
+        vals = dict(zip(names, map(float, row.split(",")), strict=True))
+        lp = {p: vals.pop(k) for k, p in lp_cols.items()}
+        records.append(DiagnosticsRecord(**vals, residual_lp=lp))
     return records
 
 
 def cmd_verify(args) -> int:
     scn = load_scenario(args.scenario)
     out = Path(args.out)
-    records = _load_csv_records(out / CSV_NAME)
-    summary = dict(
-        line.split(" = ", 1) for line in (out / SUMMARY_NAME).read_text().splitlines() if line
-    )
+    try:
+        records = _load_csv_records(out / CSV_NAME)
+        lines = (out / SUMMARY_NAME).read_text().splitlines()
+        outcome = dict(line.split(" = ", 1) for line in lines if line)["outcome"]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ScenarioError(
+            f"cannot verify the run in {out}: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not records:
+        raise ScenarioError(f"{out / CSV_NAME} holds no records")
     traj = Trajectory(
         n=scn.grid.n,
         records=records,
@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
         step_min_u=[],
         step_max_u=[],
         final=None,
-        outcome=summary["outcome"],
+        outcome=outcome,
     )
     failures = []
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eig = sub.add_parser("eigen", help="principal Dirichlet eigenpair on the scenario subdomain")
     common(p_eig, needs_out=False)
-    p_eig.add_argument("--tol", type=float, default=1e-8)
+    p_eig.add_argument("--tol", type=_parse_positive, default=1e-8)
     p_eig.set_defaults(func=cmd_eigen)
 
     p_chk = sub.add_parser("check", help="decide the eigenvalue and size conditions")

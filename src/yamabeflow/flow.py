@@ -94,10 +94,6 @@ class Trajectory:
     certificate: object | None = None
 
 
-def default_lp_orders(n: int) -> tuple[float, ...]:
-    return FlowConfig().resolve_orders(n)
-
-
 def _residual_velocity(bg: Background, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     resid = _curvature_values(bg, uv) - bg.f.values
     return resid, -0.25 * (bg.n - 2) * resid * uv

@@ -1,9 +1,11 @@
 """Periodic structured grids and deterministic field algebra.
 
 All integrals are midpoint (cell-sum) quadrature with the cell volume
-``prod(h_i)``.  Reductions go through :func:`math.fsum` in flat row-major
-order, so every sum is exact to the final rounding and bitwise reproducible
-regardless of how the surrounding code is parallelised.
+``prod(h_i)``.  Reductions are exactly rounded in flat row-major order, so
+they are bitwise reproducible regardless of grouping: :func:`_fsum` sums the
+mantissas per exponent with ``np.bincount`` (a superaccumulator), joins the
+bins into one exact integer and rounds it once, which gives :func:`math.fsum`'s
+float bit for bit; inputs outside that scheme's range go to :func:`math.fsum`.
 """
 
 from __future__ import annotations
@@ -168,8 +170,30 @@ def require_same_grid(a, b):
 
 
 def _fsum(values: np.ndarray) -> float:
-    # math.fsum is exactly rounded, hence independent of grouping/threading.
-    return math.fsum(values.ravel(order="C").tolist())
+    # math.fsum's result, bit for bit.  Each v = t * 2**(e - 27) with |t| < 2**27
+    # and t * 2**26 an integer.  Per exponent e, bincount sums trunc(t), integers
+    # below 2**27 * size, and t - trunc(t), multiples of 2**-26 below size: both
+    # exact in float64 for size <= 2**26.  The bins make one integer, rounded
+    # once to nearest-even by float(int) or int / int.  math.fsum itself takes
+    # an empty or non-finite input, more than 2**26 values, size * max|v| >=
+    # 2**1022 (where it may raise its intermediate OverflowError) and an exact
+    # zero, whose sign it decides.
+    v = np.asarray(values, dtype=np.float64).ravel(order="C")
+    if 0 < v.size <= 1 << 26 and max(-v.min(), v.max()) < 2.0**1022 / v.size:
+        t, e = np.frexp(v)
+        e_min = int(e.min())
+        bins = np.subtract(e, e_min, dtype=np.intp)
+        t *= 2.0**27
+        whole = np.trunc(t)
+        t -= whole
+        sums = zip(np.bincount(bins, weights=whole).tolist(), np.bincount(bins, weights=t).tolist())
+        total = sum(
+            ((int(a) << 26) + int(b * 2.0**26)) << k for k, (a, b) in enumerate(sums) if a or b
+        )
+        if total:
+            shift = e_min - 53
+            return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    return math.fsum(v.tolist())
 
 
 def integrate(w: ScalarField) -> float:

@@ -18,9 +18,8 @@ from scipy import sparse
 from scipy.sparse.linalg import cg
 
 from .errors import EigenConvergenceError
-from .grid import ScalarField, SubdomainMask
+from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
 from .operators import Background, _conformal_values, gradient_squared
-from .grid import _fsum, require_same_grid
 
 __all__ = ["EigenResult", "dirichlet_eigen", "rayleigh_quotient"]
 

@@ -162,6 +162,13 @@ class TestEigenCommand:
         phi = snapshots.read_field(out / "phi.yflo")
         assert phi.max() == 1.0
 
+    @pytest.mark.parametrize("option", ["--tol=0", "--tol=-1"], ids=["tol_0", "tol_-1"])
+    def test_bad_tol_is_usage_error(self, trapped_scn, capsys, option):
+        with pytest.raises(SystemExit) as info:
+            main(["eigen", "--scenario", str(trapped_scn), option])
+        assert info.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_trapped_passes(self, trapped_scn, capsys):
@@ -220,6 +227,32 @@ class TestVerifyCommand:
         assert rc == 0
         assert "SKIP dissipation_identity: 3 records, need 10" in printed
         assert "SKIP decay: outcome timeout, not converged" in printed
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no_csv", "no_summary", "non_numeric_row", "header_only", "summary_line_no_equals",
+         "summary_no_outcome"],
+    )
+    def test_refuses_unreadable_run(self, tmp_path, constant_scn, capsys, case):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "40steps"])
+        csv, summary = out / CSV_NAME, out / SUMMARY_NAME
+        lines = csv.read_text().splitlines()
+        if case == "no_csv":
+            csv.unlink()
+        elif case == "no_summary":
+            summary.unlink()
+        elif case == "non_numeric_row":
+            csv.write_text("\n".join(lines[:-1] + [lines[-1].replace(",", ",x", 1)]) + "\n")
+        elif case == "header_only":
+            csv.write_text(lines[0] + "\n")
+        elif case == "summary_line_no_equals":
+            summary.write_text(summary.read_text() + "garbage\n")
+        else:
+            summary.write_text(summary.read_text().replace("outcome = ", "result = "))
+        capsys.readouterr()
+        assert main(["verify", "--scenario", str(constant_scn), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error:")
 
     def test_fails_on_tampered_energy(self, tmp_path, constant_scn, capsys):
         out = tmp_path / "out"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import yamabeflow as yf
 from yamabeflow.errors import GridMismatchError, NonFiniteFieldError
-from yamabeflow.grid import SubdomainMask, chebyshev_distance, require_same_grid
+from yamabeflow.grid import SubdomainMask, _fsum, chebyshev_distance, require_same_grid
 
-from conftest import unit_grid
+from conftest import periodic_gaussian, trapped_bump_background, unit_grid
 
 
 class TestGridSpec:
@@ -185,3 +185,81 @@ def test_integrate_constant_scales(c):
     g = yf.GridSpec(3, (4, 4, 4), (2.0, 1.0, 1.0))
     total = yf.integrate(yf.ScalarField.constant(g, c))
     assert math.isclose(total, 2.0 * c, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def fsum_bits(f, values) -> str:
+    """``f(values).hex()``, which keeps the sign of zero, or the error that ``f`` raises."""
+    try:
+        return f(values).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def assert_same_bits(a):
+    assert fsum_bits(_fsum, a) == fsum_bits(math.fsum, a.ravel().tolist())
+
+
+@st.composite
+def float_arrays(draw):
+    """float64 arrays of 0 to 20000 values whose exponents span the whole range.
+
+    Hypothesis draws the size, the exponent window, a seed for the bulk, a
+    few extreme values (subnormals, the largest finite) placed at random
+    and whether a prefix is appended negated, so that whole pairs ``(x, -x)``
+    cancel exactly.
+    """
+    size = draw(st.integers(0, 20000))
+    lo = draw(st.integers(-1100, 1000))
+    hi = draw(st.integers(lo, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.ldexp(rng.standard_normal(size), rng.integers(lo, hi + 1, size))
+    extremes = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    if size:
+        a[rng.integers(0, size, len(extremes))] = extremes
+    if draw(st.booleans()):
+        a = np.concatenate([a, -a[: draw(st.integers(0, size))]])
+        rng.shuffle(a)
+    return a
+
+
+@given(a=float_arrays())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fsum_is_math_fsum_bit_for_bit(a):
+    assert_same_bits(a)
+
+
+class TestExactSum:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1.0, 2.0**-53], 1.0),
+            ([1.0, 2.0**-53, 2.0**-1000], 1.0 + 2.0**-52),
+            ([5e-324, 5e-324], 1e-323),
+        ],
+        ids=["tie_to_even", "tie_broken_by_tiny", "subnormal"],
+    )
+    def test_fixed_sums(self, values, expected):
+        a = np.array(values)
+        assert _fsum(a) == expected
+        assert_same_bits(a)
+
+    def test_negative_zeros(self):
+        assert_same_bits(np.array([-0.0, -0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite(self, bad):
+        assert_same_bits(np.array([1.0, bad, 2.0]))
+
+    def test_intermediate_overflow_raises_like_math_fsum(self):
+        with pytest.raises(OverflowError):
+            _fsum(np.array([1e308, 1e308, -1e308]))
+
+    def test_flow_moment_24(self):
+        # |R_g - f|^4.5 u^6, a residual moment of a 24^3 state after 3 steps.
+        bg = trapped_bump_background(24)
+        u = yf.ScalarField(bg.grid, 1.0 + periodic_gaussian(bg.grid, (0.4, 0.5, 0.6), 0.1, 0.3))
+        state = yf.FlowState(u, 0.0, 0, 0.0)
+        for _ in range(3):
+            state = yf.step(bg, state, yf.stable_dt(bg, state.u, 0.8))
+        resid = yf.scalar_curvature(bg, state.u).values - bg.f.values
+        assert_same_bits(np.abs(resid) ** 4.5 * state.u.values**6)
