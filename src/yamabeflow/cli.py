@@ -60,7 +60,7 @@ def _parse_count(value: str) -> int:
 
 
 def _parse_positive(value: str) -> float:
-    """``--tol`` type and the time form of ``--until``: a positive number, else a usage error."""
+    """Type of the tolerances and of ``--until``'s time: a positive number, else a usage error."""
     try:
         if float(value) > 0.0:
             return float(value)
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the diagnostics suite over a stored trajectory")
     common(p_ver)
-    p_ver.add_argument("--dissipation-tol", type=float, default=0.05)
-    p_ver.add_argument("--decay-threshold", type=float, default=1e-8)
+    p_ver.add_argument("--dissipation-tol", type=_parse_positive, default=0.05)
+    p_ver.add_argument("--decay-threshold", type=_parse_positive, default=1e-8)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -55,15 +55,16 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_fraction <= 1.0:
             raise ValueError(f"cfl_fraction must be in (0, 1], got {self.cfl_fraction}")
+        # Written as negated comparisons so that NaN fails them too.
         for name in ("t_max", "residual_stop", "blowup_ceiling"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.lp_orders is not None and any(p < 1.0 for p in self.lp_orders):
+        if self.lp_orders is not None and not all(p >= 1.0 for p in self.lp_orders):
             raise ValueError(f"lp orders must all be >= 1, got {self.lp_orders}")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
+        if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
+            raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 
     def resolve_orders(self, n: int) -> tuple[float, ...]:
         if self.lp_orders is not None:
@@ -226,16 +227,12 @@ def run(
     state = start if start is not None else FlowState(u0, 0.0, 0, 0.0)
     carry = carry if carry is not None else RunCarry()
     records: list[DiagnosticsRecord] = []
-    step_t, step_dt, step_e, step_mn, step_mx = [], [], [], [], []
+    rows = []
 
     ev = _StateEval(bg, state.u)
     outcome = None
     while True:
-        step_t.append(state.t)
-        step_dt.append(state.dt_last)
-        step_e.append(ev.energy)
-        step_mn.append(ev.min_u)
-        step_mx.append(ev.max_u)
+        rows.append((state.t, state.dt_last, ev.energy, ev.min_u, ev.max_u))
 
         due = state.step % cfg.record_every == 0 and state.step > carry.last_record_step
         if ev.residual_sup <= cfg.residual_stop:
@@ -275,6 +272,7 @@ def run(
         carry.dissipation_cum += 0.5 * (new_state.t - state.t) * (ev.sq + new_ev.sq)
         state, ev = new_state, new_ev
 
+    step_t, step_dt, step_e, step_mn, step_mx = map(list, zip(*rows))
     return Trajectory(
         n=bg.n,
         records=records,

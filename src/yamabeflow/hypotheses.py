@@ -36,10 +36,11 @@ __all__ = [
     "verify_supersolution",
 ]
 
+_MIN_L_TOL = 1e-9  # how far below 0 the verified min L(ubar) may round
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    omega: SubdomainMask
     lambda_omega: float
     h1_holds: bool
     sup_f_omega: float
@@ -88,7 +89,7 @@ def check_h1(bg: Background, omega: SubdomainMask, tol: float = 1e-8) -> Hypothe
     max_f_comp = float(f[comp].max()) if comp.any() else -math.inf
     inf_absf = float(np.abs(f[comp]).min()) if comp.any() else math.inf
     holds = lam > 0.0 and max_f_comp < 0.0
-    return HypothesisReport(omega, lam, holds, sup_f, inf_absf)
+    return HypothesisReport(lam, holds, sup_f, inf_absf)
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -172,7 +173,6 @@ def build_supersolution(
     dilation: int = 2,
     band: int = 2,
     tol: float = 1e-8,
-    verify_tol: float = 1e-9,
 ) -> SupersolutionCertificate:
     """Construct and pointwise-verify a supersolution trapped above the flow.
 
@@ -200,9 +200,9 @@ def build_supersolution(
         delta = math.sqrt(delta_lo * delta_hi) if delta_lo > 0.0 else 0.5 * delta_hi
     ubar = ScalarField(bg.grid, delta * b.values)
     min_l = verify_supersolution(bg, ubar)
-    if min_l < -verify_tol:
+    if min_l < -_MIN_L_TOL:
         raise RuntimeError(
-            f"supersolution verification failed: min L(ubar) = {min_l:g} < -{verify_tol:g}"
+            f"supersolution verification failed: min L(ubar) = {min_l:g} < -{_MIN_L_TOL:g}"
         )
     return SupersolutionCertificate(ubar, delta, m0, m1, lambda_d, min_l, delta_lo, delta_hi)
 

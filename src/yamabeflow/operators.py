@@ -74,8 +74,7 @@ def _laplacian_values(v: np.ndarray, spacings) -> np.ndarray:
     out = np.zeros_like(v)
     for axis, h in enumerate(spacings):
         dp = np.roll(v, -1, axis=axis) - v
-        dm = v - np.roll(v, 1, axis=axis)
-        out += (dp - dm) / (h * h)
+        out += (dp - np.roll(dp, 1, axis=axis)) / (h * h)
     return out
 
 
@@ -108,14 +107,12 @@ def scalar_curvature(bg: Background, u: ScalarField) -> ScalarField:
 def _laplacian_g_values(bg: Background, uv: np.ndarray, wv: np.ndarray) -> np.ndarray:
     # Divergence form with face-averaged u^2; reduces bitwise to the flat
     # Laplacian for u == 1 because the face coefficients are exactly 1.0.
+    # The backward flux is the forward one rolled by one cell.
     u2 = uv * uv
     out = np.zeros_like(wv)
     for axis, h in enumerate(bg.grid.spacings):
-        ap = 0.5 * (u2 + np.roll(u2, -1, axis=axis))
-        am = 0.5 * (u2 + np.roll(u2, 1, axis=axis))
-        dp = np.roll(wv, -1, axis=axis) - wv
-        dm = wv - np.roll(wv, 1, axis=axis)
-        out += (ap * dp - am * dm) / (h * h)
+        flux = 0.5 * (u2 + np.roll(u2, -1, axis=axis)) * (np.roll(wv, -1, axis=axis) - wv)
+        out += (flux - np.roll(flux, 1, axis=axis)) / (h * h)
     return uv ** (-(bg.big_n + 1.0)) * out
 
 

@@ -23,6 +23,8 @@ from .operators import Background, _conformal_values, gradient_squared
 
 __all__ = ["EigenResult", "dirichlet_eigen", "rayleigh_quotient"]
 
+_MAX_OUTER = 500  # outer inverse iterations before EigenConvergenceError
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -51,12 +53,7 @@ def _masked_operator(bg: Background, mask: SubdomainMask) -> sparse.csr_array:
     return sparse.csr_array((np.concatenate(vals), coords), shape=(k, k))
 
 
-def dirichlet_eigen(
-    bg: Background,
-    mask: SubdomainMask,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> EigenResult:
+def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> EigenResult:
     """Smallest eigenpair of ``-c_n Lap + R0`` with zero values outside the mask.
 
     The empty mask returns ``lam = +inf`` by convention (infimum over an
@@ -75,7 +72,7 @@ def dirichlet_eigen(
 
     x = np.full(k, 1.0 / math.sqrt(k))
     best_residual = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_OUTER + 1):
         y, info = cg(shifted, x, x0=x, rtol=1e-12, atol=0.0, maxiter=10 * k)
         if info != 0:
             msg = f"inner CG solve failed (info {info}) at iteration {it}"
@@ -94,7 +91,7 @@ def dirichlet_eigen(
             break
     else:
         raise EigenConvergenceError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {_MAX_OUTER} iterations "
             f"(best residual {best_residual:g}, tol {tol:g})",
             best_residual,
         )

@@ -254,6 +254,17 @@ class TestVerifyCommand:
         assert main(["verify", "--scenario", str(constant_scn), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("scenario error:")
 
+    @pytest.mark.parametrize("option", ["--dissipation-tol", "--decay-threshold"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, constant_scn, capsys, option, value):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "40steps"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--scenario", str(constant_scn), "--out", str(out), f"{option}={value}"])
+        assert info.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
     def test_fails_on_tampered_energy(self, tmp_path, constant_scn, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "300steps"])
@@ -283,6 +294,12 @@ class TestScenarioBoundary:
             "supersolution.band = x",
             "supersolution.dilation = 0",
             "supersolution.dilation = 2\nsupersolution.band = 3",
+            "flow.fixed_dt = nan",
+            "flow.fixed_dt = inf",
+            "flow.t_max = nan",
+            "flow.residual_stop = nan",
+            "flow.blowup_ceiling = nan",
+            "flow.lp_orders = 2 nan",
         ],
         ids=[
             "seed",
@@ -296,6 +313,12 @@ class TestScenarioBoundary:
             "supersolution_band",
             "supersolution_dilation_zero",
             "supersolution_band_over_dilation",
+            "fixed_dt_nan",
+            "fixed_dt_inf",
+            "t_max_nan",
+            "residual_stop_nan",
+            "blowup_ceiling_nan",
+            "lp_orders_nan",
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, lines):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
+from yamabeflow import diagnostics
 from yamabeflow.diagnostics import DiagnosticsRecord
 from yamabeflow.flow import FlowState, Trajectory
 from yamabeflow.grid import SubdomainMask
@@ -130,6 +131,22 @@ class TestLemmaBalance:
             with pytest.raises(ValueError):
                 yf.lemma_p_balance_error(bg, states, p=1.5)
         assert yf.lemma_p_balance_error(bg, states, p=2.0) < 0.05
+
+    def test_evaluates_each_state_once(self, grid8, monkeypatch):
+        bg = trapped_bump_background(8)
+        states = [FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)]
+        for _ in range(2):
+            states.append(yf.step(bg, states[-1], 1e-4))
+        calls = []
+        curvature = diagnostics._curvature_values
+
+        def counted_curvature(*args):
+            calls.append(1)
+            return curvature(*args)
+
+        monkeypatch.setattr(diagnostics, "_curvature_values", counted_curvature)
+        yf.lemma_p_balance_error(bg, states, p=2.0)
+        assert len(calls) == 3
 
 
 class TestEnvelopeCheck:

@@ -258,6 +258,21 @@ class TestResumeCarry:
         with pytest.raises(ValueError):
             yf.FlowConfig(lp_orders=(0.5,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_max", float("nan")),
+            ("residual_stop", float("nan")),
+            ("blowup_ceiling", float("nan")),
+            ("lp_orders", (2.0, float("nan"))),
+            ("fixed_dt", float("nan")),
+            ("fixed_dt", float("inf")),
+        ],
+    )
+    def test_config_rejects_nan_and_infinite_dt(self, field, value):
+        with pytest.raises(ValueError):
+            yf.FlowConfig(**{field: value})
+
     def test_default_lp_orders(self):
         assert yf.FlowConfig().resolve_orders(3) == (2.0, 1.5, 4.5)
         assert yf.FlowConfig(lp_orders=(2.0, 3.0)).resolve_orders(3) == (2.0, 3.0)

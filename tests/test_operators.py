@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
+from yamabeflow.diagnostics import _weighted_gradient_sq_integral
 from yamabeflow.errors import PositivityError
 from yamabeflow.grid import _fsum
-from yamabeflow.operators import gradient_squared, require_positive
+from yamabeflow.operators import (
+    _laplacian_g_values,
+    _laplacian_values,
+    gradient_squared,
+    require_positive,
+)
 
 from conftest import constant_background, unit_grid
 
@@ -201,3 +207,74 @@ def test_require_positive_names_argument(grid8):
     with pytest.raises(PositivityError) as exc:
         require_positive(yf.ScalarField(grid8, vals), "u0")
     assert "u0" in str(exc.value)
+
+
+def _reference_laplacian(v, spacings):
+    out = np.zeros_like(v)
+    for axis, h in enumerate(spacings):
+        dp = np.roll(v, -1, axis=axis) - v
+        dm = v - np.roll(v, 1, axis=axis)
+        out += (dp - dm) / (h * h)
+    return out
+
+
+def _reference_laplacian_g(bg, uv, wv):
+    u2 = uv * uv
+    out = np.zeros_like(wv)
+    for axis, h in enumerate(bg.grid.spacings):
+        ap = 0.5 * (u2 + np.roll(u2, -1, axis=axis))
+        am = 0.5 * (u2 + np.roll(u2, 1, axis=axis))
+        dp = np.roll(wv, -1, axis=axis) - wv
+        dm = wv - np.roll(wv, 1, axis=axis)
+        out += (ap * dp - am * dm) / (h * h)
+    return uv ** (-(bg.big_n + 1.0)) * out
+
+
+def _reference_gradient_squared(v, spacings):
+    out = np.zeros_like(v)
+    for axis, h in enumerate(spacings):
+        d = (np.roll(v, -1, axis=axis) - v) / h
+        out += d * d
+    return out
+
+
+def _reference_weighted_gradient_sq_integral(bg, w, uv):
+    u2 = uv * uv
+    total = 0.0
+    for axis, h in enumerate(bg.grid.spacings):
+        face = 0.5 * (u2 + np.roll(u2, -1, axis=axis))
+        d = (np.roll(w, -1, axis=axis) - w) / h
+        total += _fsum(face * d * d)
+    return total * bg.grid.cell_volume
+
+
+NON_DYADIC = yf.GridSpec(3, (5, 6, 7), (1.0, 1.3, 0.7))
+FOUR_D = yf.GridSpec(4, (4, 5, 4, 6), (1.0, 1.3, 0.7, 0.9))
+
+
+@pytest.mark.parametrize("grid", [NON_DYADIC, FOUR_D], ids=["non_dyadic", "four_d"])
+def test_stencils_bitwise_equal_reference_forms(grid):
+    # Each stencil rolls its forward difference (or flux) once per axis for
+    # the backward one; the reference forms above, which take every backward
+    # difference from its own roll, must agree bit for bit.
+    rng = np.random.default_rng(11)
+    bg = constant_background(grid)
+    w = rng.standard_normal(grid.shape)
+    u = 1.0 + 0.5 * rng.random(grid.shape)
+    assert np.array_equal(_laplacian_values(w, grid.spacings), _reference_laplacian(w, grid.spacings))
+    assert np.array_equal(_laplacian_g_values(bg, u, w), _reference_laplacian_g(bg, u, w))
+    assert np.array_equal(
+        gradient_squared(yf.ScalarField(grid, w)), _reference_gradient_squared(w, grid.spacings)
+    )
+    assert _weighted_gradient_sq_integral(bg, w, u) == _reference_weighted_gradient_sq_integral(
+        bg, w, u
+    )
+
+
+def test_constants_map_to_exact_zero_on_non_dyadic_grid():
+    rng = np.random.default_rng(12)
+    bg = constant_background(NON_DYADIC)
+    const = yf.ScalarField.constant(NON_DYADIC, 0.37)
+    u = yf.ScalarField(NON_DYADIC, 1.0 + 0.5 * rng.random(NON_DYADIC.shape))
+    assert not np.any(yf.laplacian(const).values)
+    assert not np.any(yf.laplacian_g(bg, u, const).values)
