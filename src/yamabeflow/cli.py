@@ -19,10 +19,12 @@ from . import flow as flowmod
 from . import hypotheses as hyp
 from . import snapshots
 from .diagnostics import DiagnosticsRecord
-from .errors import DeltaWindowEmptyError, EigenConvergenceError, ScenarioError
+from .errors import (
+    DeltaWindowEmptyError, EigenConvergenceError, PositivityCollapseError, ScenarioError,
+)
 from .flow import Trajectory
 from .operators import stationary_residual
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_kv
 from .spectral import dirichlet_eigen
 
 CSV_NAME = "trajectory.csv"
@@ -106,23 +108,22 @@ def _run_loop(scn, args, start=None, carry=None) -> int:
             csv.write(_csv_row(rec, orders) + "\n")
             csv.flush()
 
-        traj = flowmod.run(
-            scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
-            checkpoint_every=args.checkpoint_every,
-            on_checkpoint=functools.partial(snapshots.write_checkpoint, out),
-        )
+        try:
+            traj = flowmod.run(
+                scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
+                checkpoint_every=args.checkpoint_every,
+                on_checkpoint=functools.partial(snapshots.write_checkpoint, out),
+            )
+        except PositivityCollapseError as exc:
+            print(f"FAIL {args.command}: {exc}", file=sys.stderr)
+            return 1
     snapshots.write_field(out / FINAL_U, traj.final.u)
     _write_summary(out, traj, stationary_residual(scn.background, traj.final.u))
     print(f"outcome: {traj.outcome} at t={traj.final.t:g} after {traj.final.step} steps")
     return 0
 
 
-def cmd_run(args) -> int:
-    return _run_loop(load_scenario(args.scenario), args)
-
-
-def cmd_resume(args) -> int:
-    scn = load_scenario(args.scenario)
+def cmd_resume(scn, args) -> int:
     out = Path(args.out)
     try:
         start, carry = snapshots.read_checkpoint(out)
@@ -139,11 +140,9 @@ def cmd_resume(args) -> int:
     return _run_loop(scn, args, start, carry)
 
 
-def cmd_eigen(args) -> int:
-    scn = load_scenario(args.scenario)
-    mask = scn.omega_mask()
+def cmd_eigen(scn, args) -> int:
     try:
-        result = dirichlet_eigen(scn.background, mask, tol=args.tol)
+        result = dirichlet_eigen(scn.background, scn.omega, tol=args.tol)
     except EigenConvergenceError as exc:
         print(f"FAIL eigen: {exc}", file=sys.stderr)
         return 1
@@ -157,10 +156,8 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    scn = load_scenario(args.scenario)
-    mask = scn.omega_mask()
-    report = hyp.evaluate_hypotheses(scn.background, mask, **scn.supersolution)
+def cmd_check(scn, args) -> int:
+    report = hyp.evaluate_hypotheses(scn.background, scn.omega, **scn.supersolution)
     print(f"lambda_omega = {_fmt(report.lambda_omega)}")
     print(f"sup_f_omega = {_fmt(report.sup_f_omega)}")
     print(f"inf_absf_complement = {_fmt(report.inf_absf_complement)}")
@@ -170,11 +167,9 @@ def cmd_check(args) -> int:
     return 0 if (report.h1_holds and report.h2_holds) else 1
 
 
-def cmd_supersolution(args) -> int:
-    scn = load_scenario(args.scenario)
-    mask = scn.omega_mask()
+def cmd_supersolution(scn, args) -> int:
     try:
-        cert = hyp.build_supersolution(scn.background, mask, **scn.supersolution)
+        cert = hyp.build_supersolution(scn.background, scn.omega, **scn.supersolution)
     except (DeltaWindowEmptyError, ValueError, EigenConvergenceError) as exc:
         print(f"FAIL supersolution: {exc}", file=sys.stderr)
         return 1
@@ -202,13 +197,11 @@ def _load_csv_records(path: Path) -> list[DiagnosticsRecord]:
     return records
 
 
-def cmd_verify(args) -> int:
-    scn = load_scenario(args.scenario)
+def cmd_verify(scn, args) -> int:
     out = Path(args.out)
     try:
         records = _load_csv_records(out / CSV_NAME)
-        lines = (out / SUMMARY_NAME).read_text().splitlines()
-        outcome = dict(line.split(" = ", 1) for line in lines if line)["outcome"]
+        outcome = parse_kv((out / SUMMARY_NAME).read_text())["outcome"]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ScenarioError(
             f"cannot verify the run in {out}: {type(exc).__name__}: {exc}"
@@ -271,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; outputs are thread-count independent")
 
     for name, func, text in (
-        ("run", cmd_run, "integrate the flow and write CSV + snapshots"),
+        ("run", _run_loop, "integrate the flow and write CSV + snapshots"),
         ("resume", cmd_resume, "continue a run from its checkpoint"),
     ):
         p_loop = sub.add_parser(name, help=text)
@@ -307,10 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_scenario(args.scenario), args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -45,8 +45,8 @@ class GridSpec:
             raise ValueError("sizes and lengths must have one entry per dimension")
         if any(s < 4 for s in self.sizes):
             raise ValueError(f"all sizes must be >= 4, got {self.sizes}")
-        if any(L <= 0.0 for L in self.lengths):
-            raise ValueError(f"all lengths must be positive, got {self.lengths}")
+        if not all(0.0 < L < np.inf for L in self.lengths):
+            raise ValueError(f"all lengths must be positive and finite, got {self.lengths}")
 
     @property
     def spacings(self) -> tuple[float, ...]:

@@ -70,7 +70,7 @@ def superlevel_mask(bg: Background, eps: float) -> SubdomainMask:
     ``f``: a threshold that collides with a grid value (within 1e-12) is
     moved up by ulp-scale steps until it is clear of every grid value.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     f = bg.f.values
     while bool(np.any(np.abs(f + eps) <= 1e-12)):

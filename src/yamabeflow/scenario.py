@@ -5,6 +5,10 @@ flow configuration, and optionally a subdomain and supersolution settings.
 Field specs are a constant, plus optional periodic Gaussian bumps, plus
 optional seeded noise, or a literal snapshot path.
 
+``load_scenario`` validates the whole file when it loads, the subdomain
+included, so every command sees the same checks: a malformed key, a
+non-finite field value or an unreadable snapshot raises ``ScenarioError``.
+
 Example::
 
     name = trapped-bump
@@ -25,7 +29,6 @@ Example::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from .errors import ScenarioError
 from .flow import FlowConfig
 from .grid import GridSpec, ScalarField, SubdomainMask
 from .hypotheses import superlevel_mask
-from .operators import Background
+from .operators import Background, require_positive
 from .snapshots import read_field
 
 __all__ = ["Scenario", "load_scenario", "parse_kv"]
@@ -48,35 +51,8 @@ class Scenario:
     background: Background
     u0: ScalarField
     flow: FlowConfig
-    omega_spec: dict
+    omega: SubdomainMask
     supersolution: dict
-
-    def omega_mask(self) -> SubdomainMask:
-        """Realize the configured subdomain (defaults to the empty set)."""
-        spec = self.omega_spec
-        kind = spec.get("type", "empty")
-        try:
-            if kind == "empty":
-                return SubdomainMask.empty(self.grid)
-            if kind == "full":
-                return SubdomainMask.full(self.grid)
-            if kind == "superlevel":
-                return superlevel_mask(self.background, float(spec["eps"]))
-            if kind == "ball":
-                center = _floats(spec["center"])
-                radius = float(spec["radius"])
-                dist2 = _periodic_dist2(self.grid, center)
-                return SubdomainMask(self.grid, dist2 < radius * radius)
-            if kind == "slab":
-                axis = int(spec["axis"])
-                lo, hi = float(spec["lo"]), float(spec["hi"])
-                x = self.grid.meshgrid()[axis]
-                return SubdomainMask(self.grid, (x > lo) & (x < hi))
-        except KeyError as exc:
-            raise ScenarioError(f"omega.type = {kind} needs key 'omega.{exc.args[0]}'") from exc
-        except (ValueError, IndexError) as exc:
-            raise ScenarioError(f"bad omega value: {exc}") from exc
-        raise ScenarioError(f"unknown omega.type {kind!r}")
 
 
 def parse_kv(text: str) -> dict:
@@ -99,8 +75,8 @@ def parse_kv(text: str) -> dict:
 
 
 def _periodic_dist2(grid: GridSpec, center) -> np.ndarray:
-    if len(center) != grid.n:
-        raise ScenarioError(f"center needs {grid.n} coordinates, got {len(center)}")
+    if len(center) != grid.n or not np.isfinite(center).all():
+        raise ScenarioError(f"center needs {grid.n} finite coordinates, got {center}")
     coords = grid.meshgrid()
     total = np.zeros(grid.shape)
     for x, c, length in zip(coords, center, grid.lengths):
@@ -123,7 +99,7 @@ def _realize_field(kv: dict, prefix: str, grid: GridSpec, base_dir: Path, seed: 
     for i in sorted({_convert(key, key.split(".")[2], int) for key in bump_keys}):
         amp = _get(kv, f"{prefix}.bump.{i}.amplitude", required=True)
         width = _get(kv, f"{prefix}.bump.{i}.width", required=True)
-        if width <= 0.0:
+        if not width > 0.0:
             raise ScenarioError(f"{prefix}.bump.{i}.width must be positive")
         center = _get(kv, f"{prefix}.bump.{i}.center", required=True, conv=_floats)
         dist2 = _periodic_dist2(grid, center)
@@ -154,43 +130,48 @@ def _get(kv: dict, key: str, default=None, required: bool = False, conv=float):
     return _convert(key, kv[key], conv)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and fully validate a scenario file, realizing all fields."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    kv = parse_kv(text)
+def _omega(kv: dict, bg: Background) -> SubdomainMask:
+    """The subdomain that ``omega.type`` names (the empty set by default)."""
+    grid, kind = bg.grid, kv.get("omega.type", "empty")
+    if kind == "empty":
+        return SubdomainMask.empty(grid)
+    if kind == "full":
+        return SubdomainMask.full(grid)
+    if kind == "superlevel":
+        return superlevel_mask(bg, _get(kv, "omega.eps", required=True))
+    if kind == "ball":
+        center = _get(kv, "omega.center", required=True, conv=_floats)
+        radius = _get(kv, "omega.radius", required=True)
+        if not radius > 0.0:
+            raise ScenarioError(f"key 'omega.radius' must be positive, got {radius}")
+        return SubdomainMask(grid, _periodic_dist2(grid, center) < radius * radius)
+    if kind == "slab":
+        axis = _get(kv, "omega.axis", required=True, conv=int)
+        if not 0 <= axis < grid.n:
+            raise ScenarioError(f"key 'omega.axis': need an axis in 0..{grid.n - 1}, got {axis}")
+        lo, hi = (_get(kv, f"omega.{key}", required=True) for key in ("lo", "hi"))
+        if not lo < hi:
+            raise ScenarioError(f"key 'omega.lo' must be below 'omega.hi', got {lo} and {hi}")
+        x = grid.meshgrid()[axis]
+        return SubdomainMask(grid, (x > lo) & (x < hi))
+    raise ScenarioError(f"unknown omega.type {kind!r}")
 
-    try:
-        n = int(kv["grid.n"])
-        sizes = [int(s) for s in kv["grid.sizes"].split()]
-        lengths = [float(x) for x in kv["grid.lengths"].split()]
-    except KeyError as exc:
-        raise ScenarioError(f"missing required key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"bad grid value: {exc}") from exc
-    try:
-        grid = GridSpec(n, tuple(sizes), tuple(lengths))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+
+def _build(kv: dict, path: Path) -> Scenario:
+    sizes = _get(kv, "grid.sizes", required=True, conv=lambda text: [int(s) for s in text.split()])
+    lengths = _get(kv, "grid.lengths", required=True, conv=_floats)
+    grid = GridSpec(_get(kv, "grid.n", required=True, conv=int), tuple(sizes), tuple(lengths))
 
     seed = _get(kv, "seed", 0, conv=int)
-    r0 = _realize_field(kv, "r0", grid, path.parent, seed)
-    f = _realize_field(kv, "f", grid, path.parent, seed + 1)
-    u0 = _realize_field(kv, "u0", grid, path.parent, seed + 2)
-
-    if r0.max() >= 0.0:
-        idx = int(np.flatnonzero(r0.values.reshape(-1) >= 0.0)[0])
-        raise ScenarioError(f"R0 not negative at index {idx}: {r0.values.reshape(-1)[idx]:g}")
-    if u0.min() <= 0.0:
-        idx = int(np.flatnonzero(u0.values.reshape(-1) <= 0.0)[0])
-        raise ScenarioError(f"u0 not positive at index {idx}: {u0.values.reshape(-1)[idx]:g}")
+    r0, f, u0 = (
+        _realize_field(kv, prefix, grid, path.parent, seed + i)
+        for i, prefix in enumerate(("r0", "f", "u0"))
+    )
     background = Background(grid, r0, f)
+    require_positive(u0, "u0")
 
     orders = _get(kv, "flow.lp_orders", conv=_floats)
-    settings = dict(
+    flow = FlowConfig(
         cfl_fraction=_get(kv, "flow.cfl_fraction", 0.8),
         t_max=_get(kv, "flow.t_max", 10.0),
         residual_stop=_get(kv, "flow.residual_stop", 1e-6),
@@ -199,14 +180,7 @@ def load_scenario(path) -> Scenario:
         lp_orders=tuple(orders) if orders else None,
         fixed_dt=_get(kv, "flow.fixed_dt", None),
     )
-    try:
-        flow = FlowConfig(**settings)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
 
-    omega_spec = {
-        key.split(".", 1)[1]: value for key, value in kv.items() if key.startswith("omega.")
-    }
     dilation, band = (_get(kv, f"supersolution.{key}", 2, conv=int) for key in ("dilation", "band"))
     if not 1 <= band <= dilation:
         raise ScenarioError(
@@ -218,6 +192,23 @@ def load_scenario(path) -> Scenario:
         background=background,
         u0=u0,
         flow=flow,
-        omega_spec=omega_spec,
+        omega=_omega(kv, background),
         supersolution={"dilation": dilation, "band": band},
     )
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and validate a whole scenario file, realizing every field and the subdomain.
+
+    This is the one input boundary: an unreadable file or snapshot, and any
+    value the library's own checks reject (a non-finite field value, R0 not
+    negative, u0 not positive, a bad grid or flow setting), all raise
+    ``ScenarioError`` naming the file and the exception type.
+    """
+    path = Path(path)
+    try:
+        return _build(parse_kv(path.read_text()), path)
+    except ScenarioError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{path}: {type(exc).__name__}: {exc}") from exc

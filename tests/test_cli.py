@@ -4,6 +4,9 @@ import pytest
 import yamabeflow as yf
 from yamabeflow import snapshots
 from yamabeflow.cli import CSV_NAME, FINAL_U, SUMMARY_NAME, main
+from yamabeflow.scenario import parse_kv
+
+from conftest import unit_grid
 
 
 TRAPPED = """
@@ -97,6 +100,23 @@ class TestRunCommand:
         assert info.value.code == 2
         assert f"argument {option.split('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_positivity_collapse_exits_1(self, tmp_path, capsys, command):
+        """A fixed dt far past stability collapses u at the first step: FAIL, not a traceback."""
+        text = CONSTANT.replace("8 8 8", "6 6 6") + (
+            "u0.bump.0.amplitude = 0.5\nu0.bump.0.center = 0.5 0.5 0.5\nu0.bump.0.width = 0.2\n"
+        )
+        scn, out = tmp_path / "scn.txt", tmp_path / "out"
+        scn.write_text(text)
+        if command == "resume":
+            main(["run", "--scenario", str(scn), "--out", str(out),
+                  "--until", "2steps", "--checkpoint-every", "1"])
+        scn.write_text(text + "flow.fixed_dt = 1e30\n")
+        capsys.readouterr()
+        rc = main([command, "--scenario", str(scn), "--out", str(out), "--until", "4steps"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"FAIL {command}: positivity collapse")
 
     def test_scenario_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -279,51 +299,81 @@ class TestVerifyCommand:
         assert "FAIL energy_monotone" in capsys.readouterr().out
 
 
+# Scenario lines laid over CONSTANT, by case id: each must exit 2.
+BOUNDARY_CASES = {
+    "seed": "seed = x",
+    "record_every": "flow.record_every = x",
+    "bump_index": "f.bump.a.amplitude = 1.0",
+    "ball_without_radius": "omega.type = ball\nomega.center = 0.5 0.5 0.5",
+    "omega_eps": "omega.type = superlevel\nomega.eps = x",
+    "bump_center": "f.bump.0.amplitude = 1.0\nf.bump.0.width = 0.1\nf.bump.0.center = a b c",
+    "cfl_fraction": "flow.cfl_fraction = 2",
+    "supersolution_dilation": "supersolution.dilation = x",
+    "supersolution_band": "supersolution.band = x",
+    "supersolution_dilation_zero": "supersolution.dilation = 0",
+    "supersolution_band_over_dilation": "supersolution.dilation = 2\nsupersolution.band = 3",
+    "fixed_dt_nan": "flow.fixed_dt = nan",
+    "fixed_dt_inf": "flow.fixed_dt = inf",
+    "t_max_nan": "flow.t_max = nan",
+    "residual_stop_nan": "flow.residual_stop = nan",
+    "blowup_ceiling_nan": "flow.blowup_ceiling = nan",
+    "lp_orders_nan": "flow.lp_orders = 2 nan",
+    "lp_orders_inf": "flow.lp_orders = 2 inf",
+    "f_constant_nan": "f.constant = nan",
+    "r0_constant_neg_inf": "r0.constant = -inf",
+    "noise_amplitude_nan": "u0.noise.amplitude = nan",
+    "bump_width_nan": "f.bump.0.amplitude = 0.5\nf.bump.0.center = 0.5 0.5 0.5\nf.bump.0.width = nan",
+    "grid_length_nan": "grid.lengths = 1 nan 1",
+    "snapshot_missing": "u0.snapshot = missing.yflo",
+    "snapshot_truncated": "u0.snapshot = truncated.yflo",
+    "snapshot_other_grid": "u0.snapshot = other_grid.yflo",
+    "omega_type_blob": "omega.type = blob",
+    "omega_eps_nan": "omega.type = superlevel\nomega.eps = nan",
+    "omega_radius_neg_inf": "omega.type = ball\nomega.center = 0.5 0.5 0.5\nomega.radius = -inf",
+    "omega_axis_neg": "omega.type = slab\nomega.axis = -1\nomega.lo = 0.2\nomega.hi = 0.6",
+    "omega_axis_past_n": "omega.type = slab\nomega.axis = 3\nomega.lo = 0.2\nomega.hi = 0.6",
+    "omega_lo_nan": "omega.type = slab\nomega.axis = 0\nomega.lo = nan\nomega.hi = 0.6",
+    "omega_center_nan": "omega.type = ball\nomega.center = 0.5 nan 0.5\nomega.radius = 0.3",
+}
+
+
+def write_bad_scenario(tmp_path, lines):
+    """CONSTANT with ``lines`` laid over it, beside the snapshots the cases name."""
+    other = tmp_path / "other_grid.yflo"
+    snapshots.write_field(other, yf.ScalarField.constant(unit_grid(6), 1.0))
+    (tmp_path / "truncated.yflo").write_bytes(other.read_bytes()[:100])
+    kv = parse_kv(CONSTANT) | parse_kv(lines)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(f"{key} = {value}\n" for key, value in kv.items()))
+    return bad
+
+
+boundary_cases = pytest.mark.parametrize(
+    "lines", list(BOUNDARY_CASES.values()), ids=list(BOUNDARY_CASES)
+)
+
+
 class TestScenarioBoundary:
-    @pytest.mark.parametrize(
-        "lines",
-        [
-            "seed = x",
-            "flow.record_every = x",
-            "f.bump.a.amplitude = 1.0",
-            "omega.type = ball\nomega.center = 0.5 0.5 0.5",
-            "omega.type = superlevel\nomega.eps = x",
-            "f.bump.0.amplitude = 1.0\nf.bump.0.width = 0.1\nf.bump.0.center = a b c",
-            "flow.cfl_fraction = 2",
-            "supersolution.dilation = x",
-            "supersolution.band = x",
-            "supersolution.dilation = 0",
-            "supersolution.dilation = 2\nsupersolution.band = 3",
-            "flow.fixed_dt = nan",
-            "flow.fixed_dt = inf",
-            "flow.t_max = nan",
-            "flow.residual_stop = nan",
-            "flow.blowup_ceiling = nan",
-            "flow.lp_orders = 2 nan",
-        ],
-        ids=[
-            "seed",
-            "record_every",
-            "bump_index",
-            "ball_without_radius",
-            "omega_eps",
-            "bump_center",
-            "cfl_fraction",
-            "supersolution_dilation",
-            "supersolution_band",
-            "supersolution_dilation_zero",
-            "supersolution_band_over_dilation",
-            "fixed_dt_nan",
-            "fixed_dt_inf",
-            "t_max_nan",
-            "residual_stop_nan",
-            "blowup_ceiling_nan",
-            "lp_orders_nan",
-        ],
-    )
+    """Every command loads and checks the whole scenario, the subdomain included."""
+
+    @boundary_cases
     def test_malformed_input_exits_2(self, tmp_path, capsys, lines):
-        bad = tmp_path / "bad.txt"
-        # Drop the base's record_every so that case is not a duplicate key.
-        bad.write_text(CONSTANT.replace("flow.record_every = 20\n", "") + lines + "\n")
+        bad = write_bad_scenario(tmp_path, lines)
         assert main(["eigen", "--scenario", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("scenario error:")
+
+    @boundary_cases
+    def test_malformed_input_exits_2_on_run(self, tmp_path, capsys, lines):
+        bad = write_bad_scenario(tmp_path, lines)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(bad), "--out", str(out), "--until", "1steps"]) == 2
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
+    def test_overflowing_noise_exits_2(self, tmp_path, capsys):
+        """1e308 noise overflows to inf, which numpy warns about before the field check."""
+        bad = write_bad_scenario(tmp_path, "u0.noise.amplitude = 1e308")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "NonFiniteFieldError" in capsys.readouterr().err

@@ -267,6 +267,7 @@ class TestResumeCarry:
             ("lp_orders", (2.0, float("nan"))),
             ("fixed_dt", float("nan")),
             ("fixed_dt", float("inf")),
+            ("lp_orders", (2.0, float("inf"))),
         ],
     )
     def test_config_rejects_nan_and_infinite_dt(self, field, value):

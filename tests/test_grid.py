@@ -39,6 +39,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             yf.GridSpec(3, (8, 8, 8), (1.0, -1.0, 1.0))
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_finite_lengths(self, length):
+        with pytest.raises(ValueError):
+            yf.GridSpec(3, (8, 8, 8), (1.0, length, 1.0))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             yf.GridSpec(3, (8, 8), (1.0, 1.0, 1.0))

@@ -34,6 +34,10 @@ class TestSuperlevelMask:
         with pytest.raises(ValueError):
             yf.superlevel_mask(bg8, 0.0)
 
+    def test_rejects_nan_eps(self, bg8):
+        with pytest.raises(ValueError):
+            yf.superlevel_mask(bg8, float("nan"))
+
     def test_negative_f_gives_empty_mask(self, bg8):
         assert yf.superlevel_mask(bg8, 0.5).is_empty
 

@@ -54,7 +54,7 @@ class TestLoadScenario:
         assert scn.background.r0.max() == -1.0
         assert scn.u0.min() == 1.0
         assert scn.flow.t_max == 10.0
-        assert scn.omega_mask().is_empty
+        assert scn.omega.is_empty
 
     def test_bump_field(self, tmp_path):
         text = BASE + (
@@ -131,31 +131,102 @@ class TestOmegaMasks:
             "omega.type = superlevel\nomega.eps = 0.5\n"
         )
         scn = yf.load_scenario(write_scenario(tmp_path, text))
-        mask = scn.omega_mask()
+        mask = scn.omega
         assert not mask.is_empty
         assert np.array_equal(mask.inside, scn.background.f.values > -0.5)
 
     def test_ball(self, tmp_path):
         text = BASE + "omega.type = ball\nomega.center = 0.5 0.5 0.5\nomega.radius = 0.25\n"
         scn = yf.load_scenario(write_scenario(tmp_path, text))
-        mask = scn.omega_mask()
+        mask = scn.omega
         assert mask.inside[4, 4, 4]
         assert not mask.inside[0, 0, 0]
 
     def test_slab(self, tmp_path):
         text = BASE + "omega.type = slab\nomega.axis = 0\nomega.lo = 0.25\nomega.hi = 0.75\n"
         scn = yf.load_scenario(write_scenario(tmp_path, text))
-        mask = scn.omega_mask()
+        mask = scn.omega
         x = scn.grid.meshgrid()[0]
         assert np.array_equal(mask.inside, (x > 0.25) & (x < 0.75))
 
     def test_full(self, tmp_path):
         text = BASE + "omega.type = full\n"
         scn = yf.load_scenario(write_scenario(tmp_path, text))
-        assert scn.omega_mask().count == 512
+        assert scn.omega.count == 512
 
     def test_unknown_type(self, tmp_path):
         text = BASE + "omega.type = blob\n"
-        scn = yf.load_scenario(write_scenario(tmp_path, text))
         with pytest.raises(ScenarioError):
-            scn.omega_mask()
+            yf.load_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize("axis", ["-1", "3"])
+    def test_slab_axis_out_of_range(self, tmp_path, axis):
+        text = BASE + f"omega.type = slab\nomega.axis = {axis}\nomega.lo = 0.25\nomega.hi = 0.75\n"
+        with pytest.raises(ScenarioError, match="omega.axis"):
+            yf.load_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize("lo, hi", [("0.75", "0.25"), ("nan", "0.75")])
+    def test_slab_bounds_must_be_ordered(self, tmp_path, lo, hi):
+        text = BASE + f"omega.type = slab\nomega.axis = 0\nomega.lo = {lo}\nomega.hi = {hi}\n"
+        with pytest.raises(ScenarioError, match="omega.lo"):
+            yf.load_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "-inf"])
+    def test_ball_radius_must_be_positive(self, tmp_path, radius):
+        text = BASE + f"omega.type = ball\nomega.center = 0.5 0.5 0.5\nomega.radius = {radius}\n"
+        with pytest.raises(ScenarioError, match="omega.radius"):
+            yf.load_scenario(write_scenario(tmp_path, text))
+
+
+# A 6^3 scenario that sets every key family once.
+FULL = """
+name = full
+grid.n = 3
+grid.sizes = 6 6 6
+grid.lengths = 1 1 1
+seed = 3
+r0.constant = -1.0
+r0.bump.0.amplitude = -0.5
+r0.bump.0.center = 0.5 0.5 0.5
+r0.bump.0.width = 0.2
+f.constant = -1.0
+f.bump.0.amplitude = 0.5
+f.bump.0.center = 0.5 0.5 0.5
+f.bump.0.width = 0.2
+f.noise.amplitude = 0.01
+u0.constant = 1.0
+u0.bump.0.amplitude = 0.1
+u0.bump.0.center = 0.25 0.5 0.5
+u0.bump.0.width = 0.2
+u0.noise.amplitude = 0.01
+flow.cfl_fraction = 0.5
+flow.t_max = 1.0
+flow.residual_stop = 1e-8
+flow.blowup_ceiling = 1e6
+flow.record_every = 5
+flow.lp_orders = 2 3
+flow.fixed_dt = 1e-4
+omega.type = ball
+omega.center = 0.5 0.5 0.5
+omega.radius = 0.3
+supersolution.dilation = 2
+supersolution.band = 1
+"""
+
+
+class TestCorruptionSweep:
+    def test_full_scenario_loads(self, tmp_path):
+        scn = yf.load_scenario(write_scenario(tmp_path, FULL))
+        assert scn.omega.count > 0
+        assert scn.flow.fixed_dt == 1e-4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "x", ""])
+    @pytest.mark.parametrize("key", list(parse_kv(FULL)))
+    def test_corrupt_value_loads_or_raises_scenario_error(self, tmp_path, key, value):
+        """One corrupted value either loads or raises ScenarioError; nothing else escapes."""
+        kv = parse_kv(FULL) | {key: value}
+        path = write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in kv.items()))
+        try:
+            yf.load_scenario(path)
+        except ScenarioError:
+            pass
