@@ -19,9 +19,7 @@ from . import flow as flowmod
 from . import hypotheses as hyp
 from . import snapshots
 from .diagnostics import DiagnosticsRecord
-from .errors import (
-    DeltaWindowEmptyError, EigenConvergenceError, PositivityCollapseError, ScenarioError,
-)
+from .errors import ComputationFailure, ScenarioError
 from .flow import Trajectory
 from .operators import stationary_residual
 from .scenario import load_scenario, parse_kv
@@ -108,15 +106,11 @@ def _run_loop(scn, args, start=None, carry=None) -> int:
             csv.write(_csv_row(rec, orders) + "\n")
             csv.flush()
 
-        try:
-            traj = flowmod.run(
-                scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
-                checkpoint_every=args.checkpoint_every,
-                on_checkpoint=functools.partial(snapshots.write_checkpoint, out),
-            )
-        except PositivityCollapseError as exc:
-            print(f"FAIL {args.command}: {exc}", file=sys.stderr)
-            return 1
+        traj = flowmod.run(
+            scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
+            checkpoint_every=args.checkpoint_every,
+            on_checkpoint=functools.partial(snapshots.write_checkpoint, out),
+        )
     snapshots.write_field(out / FINAL_U, traj.final.u)
     _write_summary(out, traj, stationary_residual(scn.background, traj.final.u))
     print(f"outcome: {traj.outcome} at t={traj.final.t:g} after {traj.final.step} steps")
@@ -141,11 +135,7 @@ def cmd_resume(scn, args) -> int:
 
 
 def cmd_eigen(scn, args) -> int:
-    try:
-        result = dirichlet_eigen(scn.background, scn.omega, tol=args.tol)
-    except EigenConvergenceError as exc:
-        print(f"FAIL eigen: {exc}", file=sys.stderr)
-        return 1
+    result = dirichlet_eigen(scn.background, scn.omega, tol=args.tol)
     print(f"lambda = {_fmt(result.lam)}")
     print(f"residual = {_fmt(result.residual)}")
     print(f"iterations = {result.iterations}")
@@ -168,11 +158,7 @@ def cmd_check(scn, args) -> int:
 
 
 def cmd_supersolution(scn, args) -> int:
-    try:
-        cert = hyp.build_supersolution(scn.background, scn.omega, **scn.supersolution)
-    except (DeltaWindowEmptyError, ValueError, EigenConvergenceError) as exc:
-        print(f"FAIL supersolution: {exc}", file=sys.stderr)
-        return 1
+    cert = hyp.build_supersolution(scn.background, scn.omega, **scn.supersolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     snapshots.write_field(out / "ubar.yflo", cert.ubar)
@@ -300,12 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 2 on a scenario or usage error, 1 with ``FAIL <command>`` on a failed computation."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(load_scenario(args.scenario), args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except ComputationFailure as exc:
+        print(f"FAIL {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

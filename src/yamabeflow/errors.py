@@ -13,7 +13,11 @@ class PositivityError(ValueError):
     """A field that must be strictly positive is not."""
 
 
-class EigenConvergenceError(RuntimeError):
+class ComputationFailure(RuntimeError):
+    """A computation ran on valid input and failed; the CLI reports it as ``FAIL``."""
+
+
+class EigenConvergenceError(ComputationFailure):
     """Inverse iteration did not reach the requested residual."""
 
     def __init__(self, message, best_residual):
@@ -21,7 +25,11 @@ class EigenConvergenceError(RuntimeError):
         self.best_residual = best_residual
 
 
-class DeltaWindowEmptyError(RuntimeError):
+class EigenvalueConditionError(ComputationFailure, ValueError):
+    """The subdomain fails the eigenvalue condition, so no certificate is built on it."""
+
+
+class DeltaWindowEmptyError(ComputationFailure):
     """No admissible scaling delta exists: the H2-type window is empty."""
 
     def __init__(self, delta_lo, delta_hi, c_omega):
@@ -34,7 +42,7 @@ class DeltaWindowEmptyError(RuntimeError):
         self.c_omega = c_omega
 
 
-class PositivityCollapseError(RuntimeError):
+class PositivityCollapseError(ComputationFailure):
     """Explicit step lost positivity even after repeated dt halving."""
 
     def __init__(self, message, state):

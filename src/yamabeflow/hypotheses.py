@@ -1,11 +1,13 @@
 """Spectral admissibility conditions and supersolution certificates.
 
 The two conditions on the target curvature ``f`` are decided on an open set
-``Omega``: positivity of the first Dirichlet eigenvalue of the conformal
-Laplacian on ``Omega`` with ``f < 0`` outside, and a size condition
-``sup_Omega f <= C_Omega * inf_outside |f|`` with the explicit constant
-``C_Omega = lambda_D * m0^N / m1`` coming from the supersolution
-construction below.
+``Omega``.  H1 is positivity of the first Dirichlet eigenvalue of the
+conformal Laplacian on ``Omega`` with ``f < 0`` outside.  H2 is a non-empty
+scaling window ``delta_lo <= delta_hi`` for the supersolution construction
+below, built from the eigenfunction of a larger domain ``D``; when
+``lambda_D <= 0 <= sup_Omega f`` no scaling works and the window is empty.
+The constant ``C_Omega = lambda_D * m0^N / m1`` is reported for information:
+for ``lambda_D > 0`` the window test is ``sup_Omega f <= C_Omega * inf_outside |f|``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DeltaWindowEmptyError
+from .errors import ComputationFailure, DeltaWindowEmptyError, EigenvalueConditionError
 from .grid import (
     ScalarField,
     SubdomainMask,
@@ -133,23 +135,26 @@ def _construction(
     return b, m0, m1, eig.lam
 
 
-def _delta_window(
-    bg: Background, sup_f: float, inf_absf: float, m0: float, m1: float, lambda_d: float
-) -> tuple[float, float]:
+def _assess(
+    bg: Background, omega: SubdomainMask, dilation: int, band: int, tol: float
+) -> tuple[HypothesisReport, ScalarField, float, float, float, float, float]:
+    """Both conditions decided once: the report, then the blend, ``m0``, ``m1``,
+    ``lambda_D`` and the window ``[delta_lo, delta_hi]`` that ``build_supersolution`` states."""
+    h1 = check_h1(bg, omega, tol=tol)
+    b, m0, m1, lambda_d = _construction(bg, omega, dilation, band, tol)
     exp = 1.0 / (bg.big_n - 1.0)
-    if math.isinf(inf_absf):
-        delta_lo = 0.0
-    else:
-        delta_lo = (m1 * m0 ** (-bg.big_n) / inf_absf) ** exp
-    if sup_f > 0.0:
-        delta_hi = math.inf if math.isinf(lambda_d) else (lambda_d / sup_f) ** exp
-    else:
+    inf_absf, sup_f = h1.inf_absf_complement, h1.sup_f_omega
+    delta_lo = 0.0 if math.isinf(inf_absf) else (m1 * m0 ** (-bg.big_n) / inf_absf) ** exp
+    if sup_f < 0.0 or (sup_f == 0.0 and lambda_d >= 0.0):
         delta_hi = math.inf
-    return delta_lo, delta_hi
-
-
-def _c_omega(bg: Background, m0: float, m1: float, lambda_d: float) -> float:
-    return math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
+    elif lambda_d > 0.0:
+        delta_hi = (lambda_d / sup_f) ** exp
+    else:
+        delta_hi = 0.0
+    c_omega = math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
+    h2 = 0.0 < delta_hi and delta_lo <= delta_hi  # [0, 0] holds no delta > 0
+    report = replace(h1, c_omega=c_omega, h2_holds=h2)
+    return report, b, m0, m1, lambda_d, delta_lo, delta_hi
 
 
 def evaluate_hypotheses(
@@ -159,12 +164,8 @@ def evaluate_hypotheses(
     band: int = 2,
     tol: float = 1e-8,
 ) -> HypothesisReport:
-    """Full report: eigenvalue condition plus the size condition via ``C_Omega``."""
-    partial = check_h1(bg, omega, tol=tol)
-    _b, m0, m1, lambda_d = _construction(bg, omega, dilation, band, tol)
-    c_omega = _c_omega(bg, m0, m1, lambda_d)
-    h2 = bool(partial.sup_f_omega <= c_omega * partial.inf_absf_complement)
-    return replace(partial, c_omega=c_omega, h2_holds=h2)
+    """Full report: the eigenvalue condition and the size condition as a non-empty window."""
+    return _assess(bg, omega, dilation, band, tol)[0]
 
 
 def build_supersolution(
@@ -178,22 +179,20 @@ def build_supersolution(
 
     The admissible scaling window is ``[delta_lo, delta_hi]`` with
     ``delta_lo^(N-1) = m1 * m0^(-N) / inf_outside |f|`` and
-    ``delta_hi^(N-1) = lambda_D / sup_omega f`` (no upper constraint when
-    ``sup_omega f <= 0``); ``delta`` is the geometric mean when the window
-    is bounded, twice ``delta_lo`` otherwise.
+    ``delta_hi^(N-1) = lambda_D / sup_omega f``, unbounded when ``sup_omega f < 0``
+    or ``sup_omega f = 0 <= lambda_D``, and 0 (an empty window) when
+    ``lambda_D <= 0 <= sup_omega f``.  H2 is exactly a non-empty window;
+    ``C_Omega`` is reported for information.  ``delta`` is the geometric mean
+    when the window is bounded, twice ``delta_lo`` otherwise.
     """
-    report = check_h1(bg, omega, tol=tol)
+    report, b, m0, m1, lambda_d, delta_lo, delta_hi = _assess(bg, omega, dilation, band, tol)
     if not report.h1_holds:
-        raise ValueError(
+        raise EigenvalueConditionError(
             "eigenvalue condition fails for omega "
             f"(lambda={report.lambda_omega:g}, max f outside={-report.inf_absf_complement:g})"
         )
-    b, m0, m1, lambda_d = _construction(bg, omega, dilation, band, tol)
-    delta_lo, delta_hi = _delta_window(
-        bg, report.sup_f_omega, report.inf_absf_complement, m0, m1, lambda_d
-    )
-    if delta_lo > delta_hi:
-        raise DeltaWindowEmptyError(delta_lo, delta_hi, _c_omega(bg, m0, m1, lambda_d))
+    if not report.h2_holds:
+        raise DeltaWindowEmptyError(delta_lo, delta_hi, report.c_omega)
     if math.isinf(delta_hi):
         delta = 2.0 * delta_lo if delta_lo > 0.0 else 1.0
     else:
@@ -201,7 +200,7 @@ def build_supersolution(
     ubar = ScalarField(bg.grid, delta * b.values)
     min_l = verify_supersolution(bg, ubar)
     if min_l < -_MIN_L_TOL:
-        raise RuntimeError(
+        raise ComputationFailure(
             f"supersolution verification failed: min L(ubar) = {min_l:g} < -{_MIN_L_TOL:g}"
         )
     return SupersolutionCertificate(ubar, delta, m0, m1, lambda_d, min_l, delta_lo, delta_hi)

@@ -177,7 +177,7 @@ def _build(kv: dict, path: Path) -> Scenario:
         residual_stop=_get(kv, "flow.residual_stop", 1e-6),
         blowup_ceiling=_get(kv, "flow.blowup_ceiling", 1e6),
         record_every=_get(kv, "flow.record_every", 10, conv=int),
-        lp_orders=tuple(orders) if orders else None,
+        lp_orders=None if orders is None else tuple(orders),
         fixed_dt=_get(kv, "flow.fixed_dt", None),
     )
 

@@ -48,3 +48,15 @@ def trapped_bump_background(size=16):
         grid, -1.0 + periodic_gaussian(grid, (0.5, 0.5, 0.5), 0.06, 1.005)
     )
     return yf.Background(grid, yf.ScalarField.constant(grid, -1.0), f)
+
+
+def slab_background(f_omega):
+    """R0 = -1 on a 32 x 8 x 8 grid with h = 1; f = -1 off the 6-cell slab Omega, f_omega on it.
+
+    H1 holds with lambda_Omega = 0.58, but the 2-cell dilation D has lambda_D = -0.35.
+    """
+    grid = yf.GridSpec(3, (32, 8, 8), (32.0, 8.0, 8.0))
+    x = grid.meshgrid()[0]
+    omega = yf.SubdomainMask(grid, (x > 12.0) & (x < 19.0))
+    f = yf.ScalarField(grid, np.where(omega.inside, f_omega, -1.0))
+    return yf.Background(grid, yf.ScalarField.constant(grid, -1.0), f), omega

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow import snapshots
+from yamabeflow import hypotheses, snapshots, spectral
 from yamabeflow.cli import CSV_NAME, FINAL_U, SUMMARY_NAME, main
 from yamabeflow.scenario import parse_kv
 
-from conftest import unit_grid
+from conftest import slab_background, unit_grid
 
 
 TRAPPED = """
@@ -227,6 +227,47 @@ class TestSupersolutionCommand:
         assert rc == 1
 
 
+# The Omega of conftest.slab_background, with f read from a snapshot.
+SLAB = """
+grid.n = 3
+grid.sizes = 32 8 8
+grid.lengths = 32 8 8
+r0.constant = -1.0
+f.snapshot = f.yflo
+u0.constant = 1.0
+omega.type = slab
+omega.axis = 0
+omega.lo = 12
+omega.hi = 19
+"""
+
+
+class TestComputationFailure:
+    """A computation that runs and fails prints ``FAIL <command>: ...`` and exits 1."""
+
+    def test_empty_window_on_slab(self, tmp_path, capsys):
+        """sup_Omega f = 0.05 > 0 while lambda_D < 0: no scaling delta exists."""
+        snapshots.write_field(tmp_path / "f.yflo", slab_background(0.05)[0].f)
+        (tmp_path / "slab.txt").write_text(SLAB)
+        argv = ["supersolution", "--scenario", str(tmp_path / "slab.txt")]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.startswith("FAIL supersolution: empty delta window")
+
+    @pytest.mark.parametrize("command", ["eigen", "check", "supersolution"])
+    def test_failed_eigen_solve(self, tmp_path, trapped_scn, capsys, monkeypatch, command):
+        monkeypatch.setattr(spectral, "cg", lambda op, b, **kwargs: (b.copy(), 1))
+        assert main([command, "--scenario", str(trapped_scn), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"FAIL {command}: inner CG")
+
+    def test_unverified_barrier(self, tmp_path, trapped_scn, capsys, monkeypatch):
+        monkeypatch.setattr(hypotheses, "verify_supersolution", lambda bg, ubar: -1.0)
+        argv = ["supersolution", "--scenario", str(trapped_scn), "--out", str(tmp_path / "c")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "FAIL supersolution: supersolution verification failed"
+        )
+
+
 class TestVerifyCommand:
     def test_passes_on_stored_run(self, tmp_path, constant_scn, capsys):
         out = tmp_path / "out"
@@ -319,6 +360,7 @@ BOUNDARY_CASES = {
     "blowup_ceiling_nan": "flow.blowup_ceiling = nan",
     "lp_orders_nan": "flow.lp_orders = 2 nan",
     "lp_orders_inf": "flow.lp_orders = 2 inf",
+    "flow_lp_orders_empty": "flow.lp_orders =",
     "f_constant_nan": "f.constant = nan",
     "r0_constant_neg_inf": "r0.constant = -inf",
     "noise_amplitude_nan": "u0.noise.amplitude = nan",

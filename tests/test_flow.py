@@ -257,6 +257,8 @@ class TestResumeCarry:
             yf.FlowConfig(fixed_dt=-1.0)
         with pytest.raises(ValueError):
             yf.FlowConfig(lp_orders=(0.5,))
+        with pytest.raises(ValueError, match="non-empty"):
+            yf.FlowConfig(lp_orders=())  # no Lp columns, and a vacuous decay check
 
     @pytest.mark.parametrize(
         "field, value",

@@ -7,7 +7,13 @@ import yamabeflow as yf
 from yamabeflow.errors import DeltaWindowEmptyError
 from yamabeflow.grid import SubdomainMask
 
-from conftest import constant_background, periodic_gaussian, trapped_bump_background, unit_grid
+from conftest import (
+    constant_background,
+    periodic_gaussian,
+    slab_background,
+    trapped_bump_background,
+    unit_grid,
+)
 
 
 class TestSuperlevelMask:
@@ -88,6 +94,14 @@ class TestEvaluateHypotheses:
         assert report.h1_holds
         assert not report.h2_holds
 
+    def test_window_zero_wide_is_not_h2(self, grid8):
+        """Omega = the whole torus: delta_lo = 0 and lambda_D < 0 < sup f give [0, 0], no delta > 0."""
+        f = yf.ScalarField(grid8, -1.0 + periodic_gaussian(grid8, (0.5, 0.5, 0.5), 0.15, 1.5))
+        bg = yf.Background(grid8, yf.ScalarField.constant(grid8, -1.0), f)
+        report = yf.evaluate_hypotheses(bg, SubdomainMask.full(grid8))
+        assert report.lambda_omega < 0.0 and report.sup_f_omega > 0.0
+        assert not report.h2_holds
+
 
 class TestEmptyOmegaCertificate:
     def test_reference_constants(self, grid8):
@@ -162,6 +176,26 @@ class TestBumpCertificate:
         # Far from omega the blend is 1, so ubar is the constant delta there.
         far = yf.dilate(omega, 4).complement()
         assert np.allclose(cert.ubar.values[far.inside], cert.delta, rtol=1e-12)
+
+
+class TestSlabWithNegativeLambdaD:
+    """``check`` and ``supersolution`` decide H2 from the same window."""
+
+    @pytest.mark.parametrize("f_omega", [0.05, 0.0], ids=["positive", "zero"])
+    def test_window_empty_when_lambda_d_negative(self, f_omega):
+        bg, omega = slab_background(f_omega)
+        report = yf.evaluate_hypotheses(bg, omega)
+        assert report.h1_holds and not report.h2_holds
+        with pytest.raises(DeltaWindowEmptyError) as exc:
+            yf.build_supersolution(bg, omega)
+        assert exc.value.delta_lo > exc.value.delta_hi
+
+    def test_negative_f_on_omega_certifies(self):
+        bg, omega = slab_background(-0.5)
+        assert yf.evaluate_hypotheses(bg, omega).h2_holds
+        cert = yf.build_supersolution(bg, omega)
+        assert cert.lambda_d < 0.0
+        assert cert.min_l_ubar >= -1e-9
 
 
 def test_verify_supersolution_signs(grid8):

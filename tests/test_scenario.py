@@ -223,10 +223,17 @@ class TestCorruptionSweep:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "x", ""])
     @pytest.mark.parametrize("key", list(parse_kv(FULL)))
     def test_corrupt_value_loads_or_raises_scenario_error(self, tmp_path, key, value):
-        """One corrupted value either loads or raises ScenarioError; nothing else escapes."""
+        """One corrupted value either loads or raises ScenarioError; nothing else escapes.
+
+        A blanked value is never read as absent: only ``name`` may be empty.
+        """
         kv = parse_kv(FULL) | {key: value}
         path = write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in kv.items()))
-        try:
-            yf.load_scenario(path)
-        except ScenarioError:
-            pass
+        if value == "" and key != "name":
+            with pytest.raises(ScenarioError):
+                yf.load_scenario(path)
+        else:
+            try:
+                yf.load_scenario(path)
+            except ScenarioError:
+                pass
