@@ -4,10 +4,10 @@ The two conditions on the target curvature ``f`` are decided on an open set
 ``Omega``.  H1 is positivity of the first Dirichlet eigenvalue of the
 conformal Laplacian on ``Omega`` with ``f < 0`` outside.  H2 is a non-empty
 scaling window ``delta_lo <= delta_hi`` for the supersolution construction
-below, built from the eigenfunction of a larger domain ``D``; when
-``lambda_D <= 0 <= sup_Omega f`` no scaling works and the window is empty.
-The constant ``C_Omega = lambda_D * m0^N / m1`` is reported for information:
-for ``lambda_D > 0`` the window test is ``sup_Omega f <= C_Omega * inf_outside |f|``.
+below, built from the eigenfunction of a larger domain ``D``: it is empty when
+``lambda_D <= 0 <= sup_Omega f``, and ``lambda_D < 0`` bounds ``delta`` below on Omega.
+``C_Omega = lambda_D * m0^N / m1`` is reported for information: for
+``lambda_D > 0`` the window test is ``sup_Omega f <= C_Omega * inf_outside |f|``.
 """
 
 from __future__ import annotations
@@ -84,12 +84,11 @@ def check_h1(bg: Background, omega: SubdomainMask, tol: float = 1e-8) -> Hypothe
     """Decide the eigenvalue condition; the size-condition fields stay unset."""
     require_same_grid(bg, omega)
     lam = dirichlet_eigen(bg, omega, tol=tol).lam
-    f = bg.f.values
-    inside = omega.inside
+    f, inside = bg.f.values, omega.inside
     sup_f = float(f[inside].max()) if inside.any() else -math.inf
-    comp = ~inside
-    max_f_comp = float(f[comp].max()) if comp.any() else -math.inf
-    inf_absf = float(np.abs(f[comp]).min()) if comp.any() else math.inf
+    comp = f[~inside]
+    max_f_comp = float(comp.max()) if comp.size else -math.inf
+    inf_absf = float(np.abs(comp).min()) if comp.size else math.inf
     holds = lam > 0.0 and max_f_comp < 0.0
     return HypothesisReport(lam, holds, sup_f, inf_absf)
 
@@ -120,9 +119,7 @@ def _construction(
     grid = bg.grid
     if omega.is_empty:
         b = ScalarField.constant(grid, 1.0)
-        m0 = 1.0
-        m1 = float(np.abs(_conformal_values(bg, b.values)).max())
-        return b, m0, m1, math.inf
+        return b, 1.0, float(np.abs(_conformal_values(bg, b.values)).max()), math.inf
 
     dmask = dilate(omega, dilation)
     eig = dirichlet_eigen(bg, dmask, tol=tol)
@@ -136,15 +133,16 @@ def _construction(
 
 
 def _assess(
-    bg: Background, omega: SubdomainMask, dilation: int, band: int, tol: float
+    bg: Background, omega: SubdomainMask, h1: HypothesisReport, dilation: int, band: int, tol: float
 ) -> tuple[HypothesisReport, ScalarField, float, float, float, float, float]:
-    """Both conditions decided once: the report, then the blend, ``m0``, ``m1``,
-    ``lambda_D`` and the window ``[delta_lo, delta_hi]`` that ``build_supersolution`` states."""
-    h1 = check_h1(bg, omega, tol=tol)
+    """H2 decided once from ``h1``: the full report, blend, m0, m1, lambda_D and delta window."""
     b, m0, m1, lambda_d = _construction(bg, omega, dilation, band, tol)
     exp = 1.0 / (bg.big_n - 1.0)
-    inf_absf, sup_f = h1.inf_absf_complement, h1.sup_f_omega
-    delta_lo = 0.0 if math.isinf(inf_absf) else (m1 * m0 ** (-bg.big_n) / inf_absf) ** exp
+    sup_f, absf = h1.sup_f_omega, h1.inf_absf_complement
+    if lambda_d < 0.0 and sup_f < 0.0:  # L(delta*phi_D) >= 0 on Omega then needs f < 0 there
+        absf = min(absf, -sup_f)
+    # absf = 0 (f vanishes off Omega, so H1 fails) admits no finite delta; absf = inf gives 0
+    delta_lo = (m1 * m0 ** (-bg.big_n) / absf) ** exp if absf > 0.0 else math.inf
     if sup_f < 0.0 or (sup_f == 0.0 and lambda_d >= 0.0):
         delta_hi = math.inf
     elif lambda_d > 0.0:
@@ -152,9 +150,8 @@ def _assess(
     else:
         delta_hi = 0.0
     c_omega = math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
-    h2 = 0.0 < delta_hi and delta_lo <= delta_hi  # [0, 0] holds no delta > 0
-    report = replace(h1, c_omega=c_omega, h2_holds=h2)
-    return report, b, m0, m1, lambda_d, delta_lo, delta_hi
+    h2 = 0.0 < delta_hi and delta_lo <= delta_hi and delta_lo < math.inf  # [0, 0], [inf, inf]
+    return replace(h1, c_omega=c_omega, h2_holds=h2), b, m0, m1, lambda_d, delta_lo, delta_hi
 
 
 def evaluate_hypotheses(
@@ -165,7 +162,7 @@ def evaluate_hypotheses(
     tol: float = 1e-8,
 ) -> HypothesisReport:
     """Full report: the eigenvalue condition and the size condition as a non-empty window."""
-    return _assess(bg, omega, dilation, band, tol)[0]
+    return _assess(bg, omega, check_h1(bg, omega, tol=tol), dilation, band, tol)[0]
 
 
 def build_supersolution(
@@ -178,19 +175,21 @@ def build_supersolution(
     """Construct and pointwise-verify a supersolution trapped above the flow.
 
     The admissible scaling window is ``[delta_lo, delta_hi]`` with
-    ``delta_lo^(N-1) = m1 * m0^(-N) / inf_outside |f|`` and
+    ``delta_lo^(N-1) = m1 * m0^(-N) / inf_outside |f|`` (``/ min(inf_outside |f|,
+    -sup_omega f)`` when ``lambda_D < 0``), and
     ``delta_hi^(N-1) = lambda_D / sup_omega f``, unbounded when ``sup_omega f < 0``
     or ``sup_omega f = 0 <= lambda_D``, and 0 (an empty window) when
     ``lambda_D <= 0 <= sup_omega f``.  H2 is exactly a non-empty window;
     ``C_Omega`` is reported for information.  ``delta`` is the geometric mean
     when the window is bounded, twice ``delta_lo`` otherwise.
     """
-    report, b, m0, m1, lambda_d, delta_lo, delta_hi = _assess(bg, omega, dilation, band, tol)
-    if not report.h1_holds:
+    h1 = check_h1(bg, omega, tol=tol)
+    if not h1.h1_holds:
         raise EigenvalueConditionError(
             "eigenvalue condition fails for omega "
-            f"(lambda={report.lambda_omega:g}, max f outside={-report.inf_absf_complement:g})"
+            f"(lambda={h1.lambda_omega:g}, max f outside={-h1.inf_absf_complement:g})"
         )
+    report, b, m0, m1, lambda_d, delta_lo, delta_hi = _assess(bg, omega, h1, dilation, band, tol)
     if not report.h2_holds:
         raise DeltaWindowEmptyError(delta_lo, delta_hi, report.c_omega)
     if math.isinf(delta_hi):

@@ -242,6 +242,13 @@ omega.hi = 19
 """
 
 
+BALL = """
+omega.type = ball
+omega.center = 0.5 0.5 0.5
+omega.radius = 0.3
+"""
+
+
 class TestComputationFailure:
     """A computation that runs and fails prints ``FAIL <command>: ...`` and exits 1."""
 
@@ -252,6 +259,18 @@ class TestComputationFailure:
         argv = ["supersolution", "--scenario", str(tmp_path / "slab.txt")]
         assert main(argv + ["--out", str(tmp_path / "c")]) == 1
         assert capsys.readouterr().err.startswith("FAIL supersolution: empty delta window")
+
+    @pytest.mark.parametrize(
+        "command, stream, expected",
+        [("check", "out", "h1 = FAIL"), ("supersolution", "err", "FAIL supersolution: eigenvalue")],
+        ids=["check", "supersolution"],
+    )
+    def test_f_zero_outside_omega(self, tmp_path, capsys, command, stream, expected):
+        """inf_outside |f| = 0 fails H1; neither command divides by it."""
+        scn = tmp_path / "flat.txt"
+        scn.write_text(CONSTANT.replace("f.constant = -1.0", "f.constant = 0.0") + BALL)
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path / "c")]) == 1
+        assert expected in getattr(capsys.readouterr(), stream)
 
     @pytest.mark.parametrize("command", ["eigen", "check", "supersolution"])
     def test_failed_eigen_solve(self, tmp_path, trapped_scn, capsys, monkeypatch, command):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
+from yamabeflow import hypotheses
 from yamabeflow.errors import DeltaWindowEmptyError
 from yamabeflow.grid import SubdomainMask
 
@@ -95,12 +96,21 @@ class TestEvaluateHypotheses:
         assert not report.h2_holds
 
     def test_window_zero_wide_is_not_h2(self, grid8):
-        """Omega = the whole torus: delta_lo = 0 and lambda_D < 0 < sup f give [0, 0], no delta > 0."""
+        """Omega = the whole torus: lambda_D < 0 < sup f leaves [0, 0], which holds no delta > 0."""
         f = yf.ScalarField(grid8, -1.0 + periodic_gaussian(grid8, (0.5, 0.5, 0.5), 0.15, 1.5))
         bg = yf.Background(grid8, yf.ScalarField.constant(grid8, -1.0), f)
         report = yf.evaluate_hypotheses(bg, SubdomainMask.full(grid8))
         assert report.lambda_omega < 0.0 and report.sup_f_omega > 0.0
         assert not report.h2_holds
+
+
+    def test_f_zero_outside_omega_fails_both(self, grid8):
+        """inf_outside |f| = 0: H1 fails, and no finite delta satisfies the complement side."""
+        bg = constant_background(grid8, r0=-1.0, f=0.0)
+        omega = SubdomainMask(grid8, np.linalg.norm(np.stack(grid8.meshgrid()) - 0.5, axis=0) < 0.3)
+        report = yf.evaluate_hypotheses(bg, omega)
+        assert report.inf_absf_complement == 0.0
+        assert not report.h1_holds and not report.h2_holds
 
 
 class TestEmptyOmegaCertificate:
@@ -163,6 +173,23 @@ class TestBumpCertificate:
         with pytest.raises(ValueError):
             yf.build_supersolution(bg, yf.superlevel_mask(bg, 0.5))
 
+    def test_h1_failure_reported_before_the_solve_on_d(self, monkeypatch):
+        """Only the solve on Omega runs, so a failing solve on D cannot hide the H1 verdict."""
+        g = yf.GridSpec(3, (16, 16, 16), (4.0, 4.0, 4.0))
+        f = yf.ScalarField(g, -1.0 + periodic_gaussian(g, (2.0, 2.0, 2.0), 1.0, 3.0))
+        bg = yf.Background(g, yf.ScalarField.constant(g, -40.0), f)
+        solves = []
+        solve = hypotheses.dirichlet_eigen
+
+        def counted(*args, **kwargs):
+            solves.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hypotheses, "dirichlet_eigen", counted)
+        with pytest.raises(ValueError, match="eigenvalue condition fails"):
+            yf.build_supersolution(bg, yf.superlevel_mask(bg, 0.5))
+        assert len(solves) == 1
+
     def test_band_bounded_by_dilation(self):
         bg = trapped_bump_background()
         omega = yf.superlevel_mask(bg, 0.5)
@@ -190,8 +217,10 @@ class TestSlabWithNegativeLambdaD:
             yf.build_supersolution(bg, omega)
         assert exc.value.delta_lo > exc.value.delta_hi
 
-    def test_negative_f_on_omega_certifies(self):
-        bg, omega = slab_background(-0.5)
+    @pytest.mark.parametrize("f_omega", [-0.5, -0.001], ids=["negative", "slightly_negative"])
+    def test_negative_f_on_omega_certifies(self, f_omega):
+        """lambda_D < 0: f must be negative enough on Omega, so -sup_Omega f bounds delta below."""
+        bg, omega = slab_background(f_omega)
         assert yf.evaluate_hypotheses(bg, omega).h2_holds
         cert = yf.build_supersolution(bg, omega)
         assert cert.lambda_d < 0.0
