@@ -87,7 +87,7 @@ def _write_summary(out: Path, traj: Trajectory, resid: float) -> None:
         f"t_final = {_fmt(traj.final.t)}",
         f"steps = {traj.final.step}",
         f"stationary_residual = {_fmt(resid)}",
-        f"energy_final = {_fmt(traj.records[-1].energy)}",
+        f"energy_final = {_fmt(traj.step_energy[-1])}",
     ]
     (out / SUMMARY_NAME).write_text("\n".join(lines) + "\n")
 
@@ -126,6 +126,9 @@ def cmd_resume(scn, args) -> int:
         raise ScenarioError(f"cannot resume from {out}: {exc}") from exc
     if start.u.grid != scn.grid:
         raise ScenarioError(f"checkpoint grid {start.u.grid} != scenario grid {scn.grid}")
+    cfg = dataclasses.replace(scn.flow, **(args.until or {}))
+    if start.t > cfg.t_max or (cfg.max_steps is not None and start.step > cfg.max_steps):
+        raise ScenarioError(f"checkpoint at step {start.step}, t={start.t:g} is past the stop")
     if len(lines) < 1 + carry.records_written:
         raise ScenarioError(
             f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {carry.records_written}"

@@ -60,7 +60,6 @@ class GrowthFit:
 class EnvelopeReport:
     lower_bound: float
     upper_rate: float
-    trap_bound: float | None
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -209,7 +208,7 @@ def envelope_check(bg: Background, trajectory, certificate=None) -> EnvelopeRepo
     upper_base = max(1.0, max_u0)
     trap = certificate.ubar.max() if certificate is not None else None
 
-    report = EnvelopeReport(lower_bound=lower, upper_rate=c1, trap_bound=trap)
+    report = EnvelopeReport(lower_bound=lower, upper_rate=c1)
     for t, mn, mx in zip(ts, mins, maxs):
         if mn < lower - 1e-8 or mn <= 0.0:
             report.violations.append(f"lower barrier at t={t:g}: min u = {mn:g} < {lower:g}")

@@ -20,10 +20,6 @@ class ComputationFailure(RuntimeError):
 class EigenConvergenceError(ComputationFailure):
     """Inverse iteration did not reach the requested residual."""
 
-    def __init__(self, message, best_residual):
-        super().__init__(message)
-        self.best_residual = best_residual
-
 
 class EigenvalueConditionError(ComputationFailure, ValueError):
     """The subdomain fails the eigenvalue condition, so no certificate is built on it."""

@@ -61,17 +61,18 @@ class FlowConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.lp_orders is not None and not (
-            self.lp_orders and all(1.0 <= p < np.inf for p in self.lp_orders)
+        orders = self.lp_orders
+        if orders is not None and not (
+            orders and all(1.0 <= p < np.inf for p in orders) and len(set(orders)) == len(orders)
         ):
-            raise ValueError(f"lp orders must be non-empty, finite and >= 1, got {self.lp_orders}")
+            raise ValueError(f"lp orders must be non-empty, distinct and in [1, inf), got {orders}")
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 
     def resolve_orders(self, n: int) -> tuple[float, ...]:
         if self.lp_orders is not None:
             return tuple(float(p) for p in self.lp_orders)
-        return (2.0, n / 2.0, n * n / (2.0 * (n - 2.0)))
+        return tuple(dict.fromkeys((2.0, n / 2.0, n * n / (2.0 * (n - 2.0)))))  # n = 4: 2, 2, 4
 
 
 @dataclass

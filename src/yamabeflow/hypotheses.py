@@ -47,6 +47,7 @@ class HypothesisReport:
     h1_holds: bool
     sup_f_omega: float
     inf_absf_complement: float
+    max_f_complement: float
     c_omega: float | None = None
     h2_holds: bool | None = None
 
@@ -90,13 +91,18 @@ def check_h1(bg: Background, omega: SubdomainMask, tol: float = 1e-8) -> Hypothe
     max_f_comp = float(comp.max()) if comp.size else -math.inf
     inf_absf = float(np.abs(comp).min()) if comp.size else math.inf
     holds = lam > 0.0 and max_f_comp < 0.0
-    return HypothesisReport(lam, holds, sup_f, inf_absf)
+    return HypothesisReport(lam, holds, sup_f, inf_absf, max_f_comp)
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
     # Quintic smoothstep: C^2 at both ends, monotone on [0, 1].
     s = np.clip(s, 0.0, 1.0)
     return s * s * s * (s * (6.0 * s - 15.0) + 10.0)
+
+
+def _check_blend(dilation: int, band: int) -> None:
+    if not 1 <= band <= dilation:
+        raise ValueError(f"supersolution band not in 1..dilation: band {band}, dilation {dilation}")
 
 
 def _construction(
@@ -112,10 +118,7 @@ def _construction(
     points only sees the pure eigenfunction), 0 outside ``D``, and a quintic
     smoothstep of the scaled grid distance over the ``band`` cells between.
     """
-    if dilation < 1:
-        raise ValueError(f"dilation must be >= 1, got {dilation}")
-    if not 1 <= band <= dilation:
-        raise ValueError(f"band must satisfy 1 <= band <= dilation, got {band}")
+    _check_blend(dilation, band)
     grid = bg.grid
     if omega.is_empty:
         b = ScalarField.constant(grid, 1.0)
@@ -187,7 +190,7 @@ def build_supersolution(
     if not h1.h1_holds:
         raise EigenvalueConditionError(
             "eigenvalue condition fails for omega "
-            f"(lambda={h1.lambda_omega:g}, max f outside={-h1.inf_absf_complement:g})"
+            f"(lambda={h1.lambda_omega:g}, max f outside={h1.max_f_complement:g})"
         )
     report, b, m0, m1, lambda_d, delta_lo, delta_hi = _assess(bg, omega, h1, dilation, band, tol)
     if not report.h2_holds:

@@ -5,8 +5,8 @@ flow configuration, and optionally a subdomain and supersolution settings.
 Field specs are a constant, plus optional periodic Gaussian bumps, plus
 optional seeded noise, or a literal snapshot path.
 
-``load_scenario`` validates the whole file when it loads, the subdomain
-included, so every command sees the same checks: a malformed key, a
+``load_scenario`` reads each key once and validates the whole file, so every
+command sees the same checks: a malformed or unread key, a bad subdomain, a
 non-finite field value or an unreadable snapshot raises ``ScenarioError``.
 
 Example::
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ScenarioError
 from .flow import FlowConfig
 from .grid import GridSpec, ScalarField, SubdomainMask
-from .hypotheses import superlevel_mask
+from .hypotheses import _check_blend, superlevel_mask
 from .operators import Background, require_positive
 from .snapshots import read_field
 
@@ -87,7 +87,7 @@ def _periodic_dist2(grid: GridSpec, center) -> np.ndarray:
 
 
 def _realize_field(kv: dict, prefix: str, grid: GridSpec, base_dir: Path, seed: int) -> ScalarField:
-    snap = kv.get(f"{prefix}.snapshot")
+    snap = _get(kv, f"{prefix}.snapshot", conv=str)
     if snap is not None:
         field = read_field(base_dir / snap)
         if field.grid != grid:
@@ -123,16 +123,24 @@ def _convert(key: str, text: str, conv):
 
 
 def _get(kv: dict, key: str, default=None, required: bool = False, conv=float):
+    """Remove ``key`` from ``kv`` and return its value converted by ``conv``."""
     if key not in kv:
         if required:
             raise ScenarioError(f"missing required key {key!r}")
         return default
-    return _convert(key, kv[key], conv)
+    return _convert(key, kv.pop(key), conv)
+
+
+# The ``flow.*`` keys with their converters; FlowConfig alone states the defaults.
+_FLOW_KEYS = dict(
+    cfl_fraction=float, t_max=float, residual_stop=float, blowup_ceiling=float,
+    record_every=int, lp_orders=lambda text: tuple(_floats(text)), fixed_dt=float,
+)
 
 
 def _omega(kv: dict, bg: Background) -> SubdomainMask:
     """The subdomain that ``omega.type`` names (the empty set by default)."""
-    grid, kind = bg.grid, kv.get("omega.type", "empty")
+    grid, kind = bg.grid, _get(kv, "omega.type", "empty", conv=str)
     if kind == "empty":
         return SubdomainMask.empty(grid)
     if kind == "full":
@@ -170,29 +178,21 @@ def _build(kv: dict, path: Path) -> Scenario:
     background = Background(grid, r0, f)
     require_positive(u0, "u0")
 
-    orders = _get(kv, "flow.lp_orders", conv=_floats)
-    flow = FlowConfig(
-        cfl_fraction=_get(kv, "flow.cfl_fraction", 0.8),
-        t_max=_get(kv, "flow.t_max", 10.0),
-        residual_stop=_get(kv, "flow.residual_stop", 1e-6),
-        blowup_ceiling=_get(kv, "flow.blowup_ceiling", 1e6),
-        record_every=_get(kv, "flow.record_every", 10, conv=int),
-        lp_orders=None if orders is None else tuple(orders),
-        fixed_dt=_get(kv, "flow.fixed_dt", None),
-    )
+    given = {key: conv for key, conv in _FLOW_KEYS.items() if f"flow.{key}" in kv}
+    flow = FlowConfig(**{key: _get(kv, f"flow.{key}", conv=conv) for key, conv in given.items()})
 
     dilation, band = (_get(kv, f"supersolution.{key}", 2, conv=int) for key in ("dilation", "band"))
-    if not 1 <= band <= dilation:
-        raise ScenarioError(
-            f"supersolution needs 1 <= band <= dilation, got band {band}, dilation {dilation}"
-        )
+    _check_blend(dilation, band)
+    name, omega = _get(kv, "name", path.stem, conv=str), _omega(kv, background)
+    if kv:
+        raise ScenarioError(f"unknown or unused keys: {', '.join(sorted(kv))}")
     return Scenario(
-        name=kv.get("name", path.stem),
+        name=name,
         grid=grid,
         background=background,
         u0=u0,
         flow=flow,
-        omega=_omega(kv, background),
+        omega=omega,
         supersolution={"dilation": dilation, "band": band},
     )
 

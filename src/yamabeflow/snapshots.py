@@ -41,14 +41,16 @@ def write_field(path, field: ScalarField) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes(order="C"))
 
 
+def _check_header(path, magic: bytes, version: int) -> None:
+    if (magic, version) != (MAGIC, VERSION):
+        raise ValueError(f"{path}: bad magic {magic!r} or format version {version}")
+
+
 def read_field(path) -> ScalarField:
     raw = Path(path).read_bytes()
     try:
         magic, version, n = struct.unpack_from("<4sII", raw, 0)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
+        _check_header(path, magic, version)
         sizes = struct.unpack_from(f"<{n}I", raw, 12)
         lengths = struct.unpack_from(f"<{n}d", raw, 12 + 4 * n)
     except struct.error as exc:
@@ -81,10 +83,7 @@ def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
     if len(raw) != _SIDECAR.size:
         raise ValueError(f"{path}: expected {_SIDECAR.size} bytes for a sidecar, got {len(raw)}")
     magic, version, step, records, last_record, t, dt_last, diss = _SIDECAR.unpack(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
+    _check_header(path, magic, version)
     carry = RunCarry(diss, records, int(last_record))
     return FlowState(u, t, step, dt_last), carry
 

@@ -75,11 +75,10 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
     for it in range(1, _MAX_OUTER + 1):
         y, info = cg(shifted, x, x0=x, rtol=1e-12, atol=0.0, maxiter=10 * k)
         if info != 0:
-            msg = f"inner CG solve failed (info {info}) at iteration {it}"
-            raise EigenConvergenceError(msg, best_residual)
+            raise EigenConvergenceError(f"inner CG solve failed (info {info}) at iteration {it}")
         norm = np.linalg.norm(y)
         if norm == 0.0:
-            raise EigenConvergenceError("inverse iteration collapsed to zero", best_residual)
+            raise EigenConvergenceError("inverse iteration collapsed to zero")
         x = y / norm
         lx = lmat @ x
         lam = float(np.dot(x, lx))
@@ -92,8 +91,7 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
     else:
         raise EigenConvergenceError(
             f"no convergence after {_MAX_OUTER} iterations "
-            f"(best residual {best_residual:g}, tol {tol:g})",
-            best_residual,
+            f"(best residual {best_residual:g}, tol {tol:g})"
         )
 
     x = -x if float(x.sum()) < 0.0 else x

@@ -69,6 +69,17 @@ class TestRunCommand:
         final = snapshots.read_field(out / FINAL_U)
         assert final.grid.sizes == (8, 8, 8)
 
+    def test_4d_header_has_no_repeated_column(self, tmp_path):
+        """At n = 4 the default orders 2 and n/2 coincide; the CSV names each column once."""
+        scn = tmp_path / "four.txt"
+        text = CONSTANT.replace("grid.n = 3", "grid.n = 4").replace("8 8 8", "4 4 4 4")
+        scn.write_text(text.replace("grid.lengths = 1 1 1", "grid.lengths = 1 1 1 1"))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scn), "--out", str(out), "--until", "2steps"]) == 0
+        header = (out / CSV_NAME).read_text().splitlines()[0].split(",")
+        assert len(header) == len(set(header))
+        assert [c for c in header if c.startswith("residual_l")] == ["residual_l2", "residual_l4"]
+
     def test_until_time(self, tmp_path, constant_scn):
         out = tmp_path / "out"
         rc = main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "0.01"])
@@ -147,12 +158,29 @@ class TestDeterminism:
         assert (split / FINAL_U).read_bytes() == (ref / FINAL_U).read_bytes()
         assert (split / SUMMARY_NAME).read_bytes() == (ref / SUMMARY_NAME).read_bytes()
 
-    @pytest.mark.parametrize("case", ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv"])
+    def test_resume_to_the_checkpoint_step(self, tmp_path):
+        """A stop equal to the checkpoint step ends cleanly, as if the run had stopped there."""
+        scn = tmp_path / "scn.txt"
+        scn.write_text(CONSTANT.replace("8 8 8", "6 6 6").replace("= 20", "= 5"))
+        ref, split = tmp_path / "ref", tmp_path / "split"
+        main(["run", "--scenario", str(scn), "--out", str(ref), "--until", "30steps"])
+        main(["run", "--scenario", str(scn), "--out", str(split),
+              "--until", "40steps", "--checkpoint-every", "10"])
+        assert main(["resume", "--scenario", str(scn), "--out", str(split), "--until", "30steps"]) == 0
+        for name in (CSV_NAME, FINAL_U, SUMMARY_NAME):
+            assert (split / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "case", ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv", "stop_passed"]
+    )
     def test_resume_refuses_unusable_checkpoint(self, tmp_path, constant_scn, capsys, case):
         out = tmp_path / "out"
         every = "0" if case == "no_checkpoint" else "5"
+        until = "10steps"
+        if case == "stop_passed":  # the last checkpoint is at step 30, past the stop at 20
+            every, until = "10", "40steps"
         main(["run", "--scenario", str(constant_scn), "--out", str(out),
-              "--until", "10steps", "--checkpoint-every", every])
+              "--until", until, "--checkpoint-every", every])
         scn = constant_scn
         if case == "grid_mismatch":
             scn = tmp_path / "small.txt"
@@ -162,10 +190,12 @@ class TestDeterminism:
         elif case == "short_csv":  # the header only; the checkpoint counts the step-0 record
             header = (out / CSV_NAME).read_text().splitlines()[0]
             (out / CSV_NAME).write_text(header + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         rc = main(["resume", "--scenario", str(scn), "--out", str(out), "--until", "20steps"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("scenario error:")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestEigenCommand:
@@ -395,6 +425,22 @@ BOUNDARY_CASES = {
     "omega_axis_past_n": "omega.type = slab\nomega.axis = 3\nomega.lo = 0.2\nomega.hi = 0.6",
     "omega_lo_nan": "omega.type = slab\nomega.axis = 0\nomega.lo = nan\nomega.hi = 0.6",
     "omega_center_nan": "omega.type = ball\nomega.center = 0.5 nan 0.5\nomega.radius = 0.3",
+    "lp_orders_repeated": "flow.lp_orders = 2 2",
+    "flow_key_misspelled": "flow.tmax = 5",
+    "flow_max_steps": "flow.max_steps = 10",
+    "supersolution_key_misspelled": "supersolution.dilaton = 3",
+    "omega_key_of_another_type": "omega.type = ball\nomega.center = 0.5 0.5 0.5\n"
+    "omega.radius = 0.3\nomega.eps = 0.5",
+    "noise_beside_snapshot": "u0.snapshot = same_grid.yflo\nu0.noise.amplitude = 0.01",
+}
+
+# The boundary cases that load at face value but leave a key unread, with that key.
+UNREAD_KEYS = {
+    "flow_key_misspelled": "flow.tmax",
+    "flow_max_steps": "flow.max_steps",
+    "supersolution_key_misspelled": "supersolution.dilaton",
+    "omega_key_of_another_type": "omega.eps",
+    "noise_beside_snapshot": "u0.noise.amplitude",
 }
 
 
@@ -402,6 +448,7 @@ def write_bad_scenario(tmp_path, lines):
     """CONSTANT with ``lines`` laid over it, beside the snapshots the cases name."""
     other = tmp_path / "other_grid.yflo"
     snapshots.write_field(other, yf.ScalarField.constant(unit_grid(6), 1.0))
+    snapshots.write_field(tmp_path / "same_grid.yflo", yf.ScalarField.constant(unit_grid(8), 1.0))
     (tmp_path / "truncated.yflo").write_bytes(other.read_bytes()[:100])
     kv = parse_kv(CONSTANT) | parse_kv(lines)
     bad = tmp_path / "bad.txt"
@@ -429,6 +476,18 @@ class TestScenarioBoundary:
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(bad), "--out", str(out), "--until", "1steps"]) == 2
         assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(UNREAD_KEYS))
+    def test_unread_key_is_named(self, tmp_path, capsys, case):
+        """A key no reader consumes exits 2 on every command, naming the key."""
+        bad = write_bad_scenario(tmp_path, BOUNDARY_CASES[case])
+        out = tmp_path / "out"
+        for argv in (["eigen"], ["run", "--out", str(out), "--until", "1steps"]):
+            assert main(argv + ["--scenario", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("scenario error: unknown or unused keys:")
+            assert UNREAD_KEYS[case] in err
         assert not out.exists()
 
     def test_overflowing_noise_exits_2(self, tmp_path, capsys):

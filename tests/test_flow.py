@@ -279,3 +279,7 @@ class TestResumeCarry:
     def test_default_lp_orders(self):
         assert yf.FlowConfig().resolve_orders(3) == (2.0, 1.5, 4.5)
         assert yf.FlowConfig(lp_orders=(2.0, 3.0)).resolve_orders(3) == (2.0, 3.0)
+
+    def test_default_lp_orders_distinct_in_4d(self):
+        """At n = 4 the orders 2 and n/2 coincide; the ladder keeps one of them."""
+        assert yf.FlowConfig().resolve_orders(4) == (2.0, 4.0)

@@ -74,6 +74,16 @@ class TestCheckH1:
         assert report.lambda_omega < 0.0
         assert not report.h1_holds
 
+    def test_h1_error_names_largest_f_outside(self, grid8):
+        """The H1 error prints the max of f outside Omega, not -inf |f| there."""
+        x = grid8.meshgrid()[0]
+        f = yf.ScalarField(grid8, np.where(x < 0.3, 0.5, np.where(x > 0.7, 0.2, -1.0)))
+        bg = yf.Background(grid8, yf.ScalarField.constant(grid8, -1.0), f)
+        omega = SubdomainMask(grid8, x < 0.3)
+        assert yf.check_h1(bg, omega).max_f_complement == 0.2
+        with pytest.raises(ValueError, match=r"max f outside=0\.2\)"):
+            yf.build_supersolution(bg, omega)
+
     def test_empty_omega_with_negative_f_holds(self, bg8):
         report = yf.check_h1(bg8, SubdomainMask.empty(bg8.grid))
         assert report.h1_holds

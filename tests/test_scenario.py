@@ -1,8 +1,11 @@
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow import snapshots
+from yamabeflow import scenario, snapshots
 from yamabeflow.errors import ScenarioError
 from yamabeflow.scenario import parse_kv
 
@@ -102,6 +105,10 @@ class TestLoadScenario:
         assert scn.flow.record_every == 3
         assert scn.flow.lp_orders == (2.0, 4.0)
         assert scn.flow.residual_stop == 1e-8
+
+    def test_flow_defaults_are_flow_configs(self, tmp_path):
+        """With no ``flow.*`` key the scenario's flow is ``FlowConfig()`` exactly."""
+        assert yf.load_scenario(write_scenario(tmp_path, BASE)).flow == yf.FlowConfig()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -237,3 +244,27 @@ class TestCorruptionSweep:
                 yf.load_scenario(path)
             except ScenarioError:
                 pass
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_scenario() -> str:
+    """The scenario block of the README's "Command line" section."""
+    section = README.read_text().split("## Command line", 1)[1]
+    return section.split("```", 2)[1]
+
+
+def _docstring_scenario() -> str:
+    """The ``Example::`` block of the ``scenario`` module docstring."""
+    return textwrap.dedent(scenario.__doc__.split("Example::", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "example", [_readme_scenario, _docstring_scenario], ids=["readme", "docstring"]
+)
+def test_documented_scenario_loads(tmp_path, example):
+    """Every key the docs show is one the loader reads, so the examples load as written."""
+    scn = yf.load_scenario(write_scenario(tmp_path, example()))
+    assert scn.name == "trapped-bump"
+    assert not scn.omega.is_empty
