@@ -92,11 +92,19 @@ def _write_summary(out: Path, traj: Trajectory, resid: float) -> None:
     (out / SUMMARY_NAME).write_text("\n".join(lines) + "\n")
 
 
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, created if missing; a path that cannot be one exits 2."""
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create the output directory {args.out}: {exc}") from exc
+    return args.out
+
+
 def _run_loop(scn, args, start=None, carry=None) -> int:
     """The loop that ``run`` starts and ``resume`` continues from ``start``/``carry``."""
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     orders = cfg.resolve_orders(scn.grid.n)
     with open(out / CSV_NAME, "w" if start is None else "a") as csv:
         if start is None:
@@ -118,12 +126,11 @@ def _run_loop(scn, args, start=None, carry=None) -> int:
 
 
 def cmd_resume(scn, args) -> int:
-    out = Path(args.out)
     try:
-        start, carry = snapshots.read_checkpoint(out)
-        lines = (out / CSV_NAME).read_text().splitlines()
+        start, carry = snapshots.read_checkpoint(args.out)
+        lines = (args.out / CSV_NAME).read_text().splitlines()
     except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot resume from {out}: {exc}") from exc
+        raise ScenarioError(f"cannot resume from {args.out}: {exc}") from exc
     if start.u.grid != scn.grid:
         raise ScenarioError(f"checkpoint grid {start.u.grid} != scenario grid {scn.grid}")
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
@@ -133,7 +140,7 @@ def cmd_resume(scn, args) -> int:
         raise ScenarioError(
             f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {carry.records_written}"
         )
-    (out / CSV_NAME).write_text("\n".join(lines[: 1 + carry.records_written]) + "\n")
+    (args.out / CSV_NAME).write_text("\n".join(lines[: 1 + carry.records_written]) + "\n")
     return _run_loop(scn, args, start, carry)
 
 
@@ -143,9 +150,7 @@ def cmd_eigen(scn, args) -> int:
     print(f"residual = {_fmt(result.residual)}")
     print(f"iterations = {result.iterations}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        snapshots.write_field(out / "phi.yflo", result.phi)
+        snapshots.write_field(_out_dir(args) / "phi.yflo", result.phi)
     return 0
 
 
@@ -162,8 +167,7 @@ def cmd_check(scn, args) -> int:
 
 def cmd_supersolution(scn, args) -> int:
     cert = hyp.build_supersolution(scn.background, scn.omega, **scn.supersolution)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     snapshots.write_field(out / "ubar.yflo", cert.ubar)
     payload = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.name != "ubar"}
     (out / "certificate.json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
@@ -187,16 +191,15 @@ def _load_csv_records(path: Path) -> list[DiagnosticsRecord]:
 
 
 def cmd_verify(scn, args) -> int:
-    out = Path(args.out)
     try:
-        records = _load_csv_records(out / CSV_NAME)
-        outcome = parse_kv((out / SUMMARY_NAME).read_text())["outcome"]
+        records = _load_csv_records(args.out / CSV_NAME)
+        outcome = parse_kv((args.out / SUMMARY_NAME).read_text())["outcome"]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ScenarioError(
-            f"cannot verify the run in {out}: {type(exc).__name__}: {exc}"
+            f"cannot verify the run in {args.out}: {type(exc).__name__}: {exc}"
         ) from exc
     if not records:
-        raise ScenarioError(f"{out / CSV_NAME} holds no records")
+        raise ScenarioError(f"{args.out / CSV_NAME} holds no records")
     traj = Trajectory(
         n=scn.grid.n,
         records=records,
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_out=True):
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--out", required=needs_out, help="output directory")
+        p.add_argument("--out", type=Path, required=needs_out, help="output directory")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; outputs are thread-count independent")
 
     for name, func, text in (

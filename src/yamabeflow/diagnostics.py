@@ -142,7 +142,7 @@ def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
     ``p < 2`` is rejected when ``|R_g - f|`` nearly vanishes somewhere,
     since ``|x|^(p/2)`` is then too rough for stable quadrature.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
     dt = _check_window(states)
     n = bg.n

@@ -208,7 +208,7 @@ def integrate(w: ScalarField) -> float:
 def lp_norm(w: ScalarField, weight: ScalarField, p: float) -> float:
     """``(integral of |w|^p * weight dV)^(1/p)`` for ``p >= 1``."""
     require_same_grid(w, weight)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if weight.values.min() < 0.0:
         flat, multi = _first_bad_index(weight.values < 0.0)
@@ -226,26 +226,26 @@ def _dilate_once(inside: np.ndarray) -> np.ndarray:
 
 
 def dilate(mask: SubdomainMask, r: int) -> SubdomainMask:
-    """Grow the mask by ``r`` cells in periodic Chebyshev distance."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    out = mask.inside
-    for _ in range(r):
-        out = _dilate_once(out)
-    return SubdomainMask(mask.grid, out)
+    """Grow the mask by ``r >= 0`` cells in periodic Chebyshev distance."""
+    return SubdomainMask(mask.grid, chebyshev_distance(mask, r) <= r)
 
 
 def chebyshev_distance(mask: SubdomainMask, cap: int) -> np.ndarray:
     """Periodic Chebyshev grid distance to the mask, saturated at ``cap + 1``.
 
     Points inside the mask get 0; points not reached within ``cap`` dilation
-    steps get ``cap + 1``.  An empty mask gives ``cap + 1`` everywhere.
+    steps get ``cap + 1``.  An empty mask gives ``cap + 1`` everywhere.  The
+    sweep stops at the first step that adds no point: the mask grows no more.
     """
+    if cap < 0:
+        raise ValueError(f"dilation radius must be >= 0, got {cap}")
     dist = np.full(mask.grid.shape, cap + 1, dtype=np.int64)
     reached = mask.inside
     dist[reached] = 0
     for r in range(1, cap + 1):
-        grown = _dilate_once(reached)
-        dist[grown & ~reached] = r
-        reached = grown
+        added = _dilate_once(reached) & ~reached
+        if not added.any():
+            break
+        dist[added] = r
+        reached = reached | added
     return dist

@@ -22,7 +22,6 @@ from .grid import (
     ScalarField,
     SubdomainMask,
     chebyshev_distance,
-    dilate,
     require_same_grid,
 )
 from .operators import Background, _conformal_values, require_positive
@@ -39,6 +38,7 @@ __all__ = [
 ]
 
 _MIN_L_TOL = 1e-9  # how far below 0 the verified min L(ubar) may round
+DEFAULT_DILATION = DEFAULT_BAND = 2  # cells that D adds around omega; cells of the blend band
 
 
 @dataclass(frozen=True)
@@ -117,19 +117,14 @@ def _construction(
     ``chi`` is 1 on the one-cell dilation of omega (so the stencil at omega
     points only sees the pure eigenfunction), 0 outside ``D``, and a quintic
     smoothstep of the scaled grid distance over the ``band`` cells between.
+    An empty omega gives ``chi = 0``, so ``b = 1`` and ``lambda_D = inf``.
     """
     _check_blend(dilation, band)
-    grid = bg.grid
-    if omega.is_empty:
-        b = ScalarField.constant(grid, 1.0)
-        return b, 1.0, float(np.abs(_conformal_values(bg, b.values)).max()), math.inf
-
-    dmask = dilate(omega, dilation)
-    eig = dirichlet_eigen(bg, dmask, tol=tol)
-    dist = chebyshev_distance(omega, dilation).astype(np.float64)
+    dist = chebyshev_distance(omega, dilation)
+    eig = dirichlet_eigen(bg, SubdomainMask(bg.grid, dist <= dilation), tol=tol)
     chi = _smoothstep((dilation + 1.0 - dist) / band)
     b_vals = chi * eig.phi.values + 1.0 - chi
-    b = ScalarField(grid, b_vals)
+    b = ScalarField(bg.grid, b_vals)
     m0 = b.min()
     m1 = float(np.abs(_conformal_values(bg, b_vals)).max())
     return b, m0, m1, eig.lam
@@ -160,8 +155,8 @@ def _assess(
 def evaluate_hypotheses(
     bg: Background,
     omega: SubdomainMask,
-    dilation: int = 2,
-    band: int = 2,
+    dilation: int = DEFAULT_DILATION,
+    band: int = DEFAULT_BAND,
     tol: float = 1e-8,
 ) -> HypothesisReport:
     """Full report: the eigenvalue condition and the size condition as a non-empty window."""
@@ -171,8 +166,8 @@ def evaluate_hypotheses(
 def build_supersolution(
     bg: Background,
     omega: SubdomainMask,
-    dilation: int = 2,
-    band: int = 2,
+    dilation: int = DEFAULT_DILATION,
+    band: int = DEFAULT_BAND,
     tol: float = 1e-8,
 ) -> SupersolutionCertificate:
     """Construct and pointwise-verify a supersolution trapped above the flow.

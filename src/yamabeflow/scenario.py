@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ScenarioError
 from .flow import FlowConfig
 from .grid import GridSpec, ScalarField, SubdomainMask
-from .hypotheses import _check_blend, superlevel_mask
+from .hypotheses import DEFAULT_BAND, DEFAULT_DILATION, _check_blend, superlevel_mask
 from .operators import Background, require_positive
 from .snapshots import read_field
 
@@ -181,7 +181,8 @@ def _build(kv: dict, path: Path) -> Scenario:
     given = {key: conv for key, conv in _FLOW_KEYS.items() if f"flow.{key}" in kv}
     flow = FlowConfig(**{key: _get(kv, f"flow.{key}", conv=conv) for key, conv in given.items()})
 
-    dilation, band = (_get(kv, f"supersolution.{key}", 2, conv=int) for key in ("dilation", "band"))
+    dilation = _get(kv, "supersolution.dilation", DEFAULT_DILATION, conv=int)
+    band = _get(kv, "supersolution.band", DEFAULT_BAND, conv=int)
     _check_blend(dilation, band)
     name, omega = _get(kv, "name", path.stem, conv=str), _omega(kv, background)
     if kv:

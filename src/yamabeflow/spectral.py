@@ -61,7 +61,7 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
     an inner CG solve, raises, carrying the best residual reached.
     """
     require_same_grid(bg, mask)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if mask.is_empty:
         return EigenResult(math.inf, ScalarField.zeros(bg.grid), 0.0, 0)

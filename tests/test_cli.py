@@ -235,6 +235,17 @@ class TestCheckCommand:
         assert rc == 1
         assert "h2 = FAIL" in capsys.readouterr().out
 
+    def test_dilation_past_the_torus(self, tmp_path, capsys):
+        """On 6^3 two cells grow the ball to the whole torus; 10^9 cells give the same D, fast."""
+        printed = {}
+        for dilation in (2, 10**9):
+            path = tmp_path / f"ball_{dilation}.txt"
+            keys = f"supersolution.dilation = {dilation}\nsupersolution.band = 1\n"
+            path.write_text(CONSTANT.replace("8 8 8", "6 6 6") + BALL + keys)
+            assert main(["check", "--scenario", str(path)]) == 0
+            printed[dilation] = capsys.readouterr().out
+        assert printed[10**9] == printed[2]
+
 
 class TestSupersolutionCommand:
     def test_writes_certificate(self, tmp_path, trapped_scn):
@@ -463,6 +474,16 @@ boundary_cases = pytest.mark.parametrize(
 
 class TestScenarioBoundary:
     """Every command loads and checks the whole scenario, the subdomain included."""
+
+    @pytest.mark.parametrize("command", ["run", "eigen", "supersolution"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, constant_scn, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main([command, "--scenario", str(constant_scn), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: cannot create the output directory")
+        assert str(taken) in err
+        assert taken.read_text() == "a file, not a directory\n"
 
     @boundary_cases
     def test_malformed_input_exits_2(self, tmp_path, capsys, lines):

@@ -107,6 +107,13 @@ class TestLemmaBalance:
         with pytest.raises(ValueError):
             yf.lemma_p_balance_error(bg, states, p=1.0)
 
+    def test_rejects_nan_p(self, grid8):
+        bg = constant_background(grid8)
+        u = yf.ScalarField.constant(grid8, 1.0)
+        states = [FlowState(u, 0.1 * i, i, 0.1) for i in range(3)]
+        with pytest.raises(ValueError, match="p must be > 1"):
+            yf.lemma_p_balance_error(bg, states, p=math.nan)
+
     def test_constant_data_matches_scalar_identity(self, grid8):
         bg = constant_background(grid8, r0=-2.0, f=-1.0)
         dt = 1e-4

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yamabeflow as yf
+from yamabeflow import grid as gridmod
 from yamabeflow.errors import GridMismatchError, NonFiniteFieldError
 from yamabeflow.grid import SubdomainMask, _fsum, chebyshev_distance, require_same_grid
 
@@ -123,6 +124,11 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             yf.lp_norm(w, w, 0.5)
 
+    def test_rejects_nan_p(self, grid8):
+        w = yf.ScalarField.constant(grid8, 1.0)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            yf.lp_norm(w, w, math.nan)
+
     def test_rejects_negative_weight(self, grid8):
         w = yf.ScalarField.constant(grid8, 1.0)
         bad = yf.ScalarField.constant(grid8, -1.0)
@@ -162,9 +168,35 @@ class TestMasks:
         assert dist[4, 0, 0] == 4  # saturated at cap + 1
         assert dist[4, 4, 4] == 4  # saturated at cap + 1
 
+    def test_negative_radius_rejected(self, grid8):
+        inside = np.zeros(grid8.shape, dtype=bool)
+        inside[0, 0, 0] = True
+        mask = SubdomainMask(grid8, inside)
+        with pytest.raises(ValueError, match="dilation radius must be >= 0"):
+            yf.dilate(mask, -1)
+        with pytest.raises(ValueError, match="dilation radius must be >= 0"):
+            chebyshev_distance(mask, -3)
+
     def test_empty_mask_distance_saturates(self, grid8):
         dist = chebyshev_distance(SubdomainMask.empty(grid8), 2)
         assert np.all(dist == 3)
+
+    def test_distance_stops_when_mask_stops_growing(self, grid8, monkeypatch):
+        """A cap far past the grid's diameter costs only the steps that add points."""
+        one_step, calls = gridmod._dilate_once, []
+
+        def counted(inside):
+            calls.append(None)
+            if len(calls) > 10:
+                raise AssertionError("dilation kept going after the mask stopped growing")
+            return one_step(inside)
+
+        monkeypatch.setattr(gridmod, "_dilate_once", counted)
+        inside = np.zeros(grid8.shape, dtype=bool)
+        inside[0, 0, 0] = True
+        dist = chebyshev_distance(SubdomainMask(grid8, inside), 10**9)
+        assert len(calls) <= 5  # four steps reach the whole 8^3 torus, the fifth adds nothing
+        assert dist.max() == 4
 
     def test_empty_and_full(self, grid8):
         assert SubdomainMask.empty(grid8).is_empty
@@ -190,6 +222,45 @@ def test_integrate_constant_scales(c):
     g = yf.GridSpec(3, (4, 4, 4), (2.0, 1.0, 1.0))
     total = yf.integrate(yf.ScalarField.constant(g, c))
     assert math.isclose(total, 2.0 * c, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def brute_chebyshev_distance(inside: np.ndarray) -> np.ndarray:
+    """Periodic Chebyshev distance from every point to the nearest mask point (inf if none)."""
+    sizes = np.array(inside.shape)
+    points = np.indices(inside.shape).reshape(inside.ndim, -1).T
+    diff = np.abs(points[:, None, :] - points[inside.ravel()][None, :, :])
+    per_pair = np.minimum(diff, sizes - diff).max(axis=2)
+    if per_pair.shape[1] == 0:
+        return np.full(inside.shape, np.inf)
+    return per_pair.min(axis=1).reshape(inside.shape).astype(np.float64)
+
+
+@st.composite
+def periodic_masks(draw):
+    sizes = tuple(draw(st.lists(st.integers(4, 7), min_size=3, max_size=3)))
+    count = int(np.prod(sizes))
+    flags = draw(
+        st.one_of(
+            st.just([False] * count),
+            st.just([True] * count),
+            st.lists(st.booleans(), min_size=count, max_size=count),
+            st.sets(st.integers(0, count - 1), max_size=3).map(
+                lambda picked: [i in picked for i in range(count)]
+            ),
+        )
+    )
+    grid = yf.GridSpec(3, sizes, tuple(float(s) for s in sizes))
+    return SubdomainMask(grid, np.array(flags).reshape(sizes))
+
+
+@given(mask=periodic_masks())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_chebyshev_distance_matches_brute_force(mask):
+    exact = brute_chebyshev_distance(mask.inside)
+    for cap in range(max(mask.grid.sizes) // 2 + 3):
+        dist = chebyshev_distance(mask, cap)
+        assert np.array_equal(dist, np.minimum(exact, cap + 1))
+        assert np.array_equal(yf.dilate(mask, cap).inside, dist <= cap)
 
 
 def fsum_bits(f, values) -> str:

@@ -1,3 +1,4 @@
+import inspect
 import textwrap
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow import scenario, snapshots
+from yamabeflow import hypotheses, scenario, snapshots
 from yamabeflow.errors import ScenarioError
 from yamabeflow.scenario import parse_kv
 
@@ -109,6 +110,14 @@ class TestLoadScenario:
     def test_flow_defaults_are_flow_configs(self, tmp_path):
         """With no ``flow.*`` key the scenario's flow is ``FlowConfig()`` exactly."""
         assert yf.load_scenario(write_scenario(tmp_path, BASE)).flow == yf.FlowConfig()
+
+    def test_blend_defaults_are_the_librarys(self, tmp_path):
+        """With no ``supersolution.*`` key the scenario passes the defaults of ``hypotheses``."""
+        expected = {"dilation": hypotheses.DEFAULT_DILATION, "band": hypotheses.DEFAULT_BAND}
+        assert yf.load_scenario(write_scenario(tmp_path, BASE)).supersolution == expected
+        for func in (hypotheses.evaluate_hypotheses, hypotheses.build_supersolution):
+            params = inspect.signature(func).parameters
+            assert {key: params[key].default for key in expected} == expected
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -268,3 +277,10 @@ def test_documented_scenario_loads(tmp_path, example):
     scn = yf.load_scenario(write_scenario(tmp_path, example()))
     assert scn.name == "trapped-bump"
     assert not scn.omega.is_empty
+
+
+def test_readme_library_block_runs(capsys):
+    """The README "Library" block defines every name it uses and runs as written."""
+    section = README.read_text().split("## Library", 1)[1]
+    exec(section.split("```python", 1)[1].split("```", 1)[0], {})
+    assert capsys.readouterr().out == "timeout True\n"

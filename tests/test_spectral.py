@@ -156,6 +156,10 @@ class TestStructure:
         with pytest.raises(ValueError):
             yf.dirichlet_eigen(bg8, SubdomainMask.full(bg8.grid), tol=0.0)
 
+    def test_rejects_nan_tol(self, bg8):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            yf.dirichlet_eigen(bg8, SubdomainMask.full(bg8.grid), tol=math.nan)
+
     def test_failed_inner_solve_raises(self, bg8, monkeypatch):
         def failing_cg(op, b, **kwargs):
             return b.copy(), 1
