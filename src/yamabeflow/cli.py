@@ -38,16 +38,17 @@ def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
+# The scalar columns of the CSV, before its Lp columns, named as the record fields they hold.
+_CSV_SCALARS = ("t", "dt", "energy", "min_u", "max_u", "volume_g", "residual_sup")
+
+
 def _csv_header(orders) -> str:
-    cols = ["t", "dt", "energy", "min_u", "max_u", "volume_g", "residual_sup"]
-    cols += [f"residual_l{_fmt_p(p)}" for p in orders]
-    cols.append("dissipation_cum")
+    cols = [*_CSV_SCALARS, *(f"residual_l{_fmt_p(p)}" for p in orders), "dissipation_cum"]
     return ",".join(cols)
 
 
 def _csv_row(rec: DiagnosticsRecord, orders) -> str:
-    vals = [rec.t, rec.dt, rec.energy, rec.min_u, rec.max_u, rec.volume_g, rec.residual_sup]
-    vals += [rec.residual_lp[p] for p in orders]
+    vals = [getattr(rec, name) for name in _CSV_SCALARS] + [rec.residual_lp[p] for p in orders]
     vals.append(rec.dissipation_cum)
     return ",".join(_fmt(v) for v in vals)
 
@@ -200,47 +201,28 @@ def cmd_verify(scn, args) -> int:
         ) from exc
     if not records:
         raise ScenarioError(f"{args.out / CSV_NAME} holds no records")
-    traj = Trajectory(
-        n=scn.grid.n,
-        records=records,
-        step_t=[],
-        step_dt=[],
-        step_energy=[],
-        step_min_u=[],
-        step_max_u=[],
-        final=None,
-        outcome=outcome,
-    )
-    failures = []
+    traj = Trajectory(scn.grid.n, records, outcome)
+    oks = []
+
+    def verdict(ok: bool, line: str) -> None:
+        print(f"{'PASS' if ok else 'FAIL'} {line}")
+        oks.append(ok)
 
     energies = [r.energy for r in records]
     mono = all(b <= a + 1e-10 * (1.0 + abs(a)) for a, b in zip(energies, energies[1:]))
-    print(f"{'PASS' if mono else 'FAIL'} energy_monotone")
-    if not mono:
-        failures.append("energy_monotone")
-
+    verdict(mono, "energy_monotone")
     env = diag.envelope_check(scn.background, traj)
-    print(f"{'PASS' if env.passed else 'FAIL'} envelopes ({len(env.violations)} violations)")
-    failures += ["envelopes"] if not env.passed else []
-
+    verdict(env.passed, f"envelopes ({len(env.violations)} violations)")
     if len(records) >= 10:
         err = diag.dissipation_identity_error(traj)
-        ok = err <= args.dissipation_tol
-        print(f"{'PASS' if ok else 'FAIL'} dissipation_identity error={err:.3e}")
-        if not ok:
-            failures.append("dissipation_identity")
+        verdict(err <= args.dissipation_tol, f"dissipation_identity error={err:.3e}")
     else:
         print(f"SKIP dissipation_identity: {len(records)} records, need 10")
-
-    if traj.outcome == "converged":
-        decay = diag.decay_check(traj, threshold=args.decay_threshold)
-        print(f"{'PASS' if decay.passed else 'FAIL'} decay")
-        if not decay.passed:
-            failures.append("decay")
+    if outcome == "converged":
+        verdict(diag.decay_check(traj, threshold=args.decay_threshold).passed, "decay")
     else:
-        print(f"SKIP decay: outcome {traj.outcome}, not converged")
-
-    return 0 if not failures else 1
+        print(f"SKIP decay: outcome {outcome}, not converged")
+    return 0 if all(oks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, out="required"):
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--out", type=Path, required=needs_out, help="output directory")
+        if out is not None:  # "required" or "optional"
+            p.add_argument("--out", type=Path, required=out == "required", help="output directory")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; outputs are thread-count independent")
 
     for name, func, text in (
@@ -270,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
         p_loop.set_defaults(func=func)
 
     p_eig = sub.add_parser("eigen", help="principal Dirichlet eigenpair on the scenario subdomain")
-    common(p_eig, needs_out=False)
+    common(p_eig, out="optional")
     p_eig.add_argument("--tol", type=_parse_positive, default=1e-8)
     p_eig.set_defaults(func=cmd_eigen)
 
     p_chk = sub.add_parser("check", help="decide the eigenvalue and size conditions")
-    common(p_chk, needs_out=False)
+    common(p_chk, out=None)
     p_chk.set_defaults(func=cmd_check)
 
     p_sup = sub.add_parser("supersolution", help="build and verify a supersolution certificate")

@@ -12,7 +12,7 @@ first RK4 stage, the trapezoid dissipation and the diagnostics record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,15 +86,17 @@ class RunCarry:
 
 @dataclass
 class Trajectory:
+    """A run's records and outcome; ``run`` also fills the per-step columns and ``final``."""
+
     n: int
     records: list[DiagnosticsRecord]
-    step_t: list[float]
-    step_dt: list[float]
-    step_energy: list[float]
-    step_min_u: list[float]
-    step_max_u: list[float]
-    final: FlowState
     outcome: str
+    step_t: list[float] = field(default_factory=list)
+    step_dt: list[float] = field(default_factory=list)
+    step_energy: list[float] = field(default_factory=list)
+    step_min_u: list[float] = field(default_factory=list)
+    step_max_u: list[float] = field(default_factory=list)
+    final: FlowState | None = None
     certificate: object | None = None
 
 

@@ -101,8 +101,12 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
 
 
 def _check_blend(dilation: int, band: int) -> None:
-    if not 1 <= band <= dilation:
-        raise ValueError(f"supersolution band not in 1..dilation: band {band}, dilation {dilation}")
+    # chebyshev_distance stores dilation + 1 in an int64 array.
+    if not 1 <= band <= dilation < 2**63 - 1:
+        raise ValueError(
+            "supersolution needs 1 <= band <= dilation < 2**63 - 1, "
+            f"got band {band}, dilation {dilation}"
+        )
 
 
 def _construction(

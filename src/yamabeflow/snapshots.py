@@ -20,6 +20,7 @@ import numpy as np
 
 from .flow import FlowState, RunCarry
 from .grid import GridSpec, ScalarField
+from .operators import require_positive
 
 MAGIC = b"YFLO"
 VERSION = 1
@@ -84,6 +85,11 @@ def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
         raise ValueError(f"{path}: expected {_SIDECAR.size} bytes for a sidecar, got {len(raw)}")
     magic, version, step, records, last_record, t, dt_last, diss = _SIDECAR.unpack(raw)
     _check_header(path, magic, version)
+    # Written as negated comparisons so that NaN fails them too.
+    if not all(0.0 <= x < np.inf for x in (t, dt_last, diss)):
+        raise ValueError(f"{path}: need 0 <= t, dt_last, dissipation_cum < inf: {t, dt_last, diss}")
+    if not (-1.0 <= last_record <= step and last_record.is_integer()):
+        raise ValueError(f"{path}: last_record_step {last_record} not an integer in [-1, {step}]")
     carry = RunCarry(diss, records, int(last_record))
     return FlowState(u, t, step, dt_last), carry
 
@@ -98,4 +104,6 @@ def write_checkpoint(out, state: FlowState, carry: RunCarry) -> None:
 def read_checkpoint(out) -> tuple[FlowState, RunCarry]:
     """Read the checkpoint pair that ``write_checkpoint`` left in directory ``out``."""
     out = Path(out)
-    return read_sidecar(out / CHECKPOINT_STATE, read_field(out / CHECKPOINT_U))
+    u = read_field(out / CHECKPOINT_U)
+    require_positive(u, "checkpoint u")
+    return read_sidecar(out / CHECKPOINT_STATE, u)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,12 @@ f.constant = -1.0
 u0.constant = 1.0
 flow.record_every = 20
 """
+
+
+# Constant data that relax to u^4 = 1.2; a uniform u stays uniform, so the step is fixed.
+CONVERGING = CONSTANT.replace("8 8 8", "6 6 6").replace("-2.0", "-1.2") + (
+    "flow.fixed_dt = 0.05\nflow.t_max = 30\n"
+)
 
 
 @pytest.fixture
@@ -171,7 +180,9 @@ class TestDeterminism:
             assert (split / name).read_bytes() == (ref / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "case", ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv", "stop_passed"]
+        "case",
+        ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv", "stop_passed", "sidecar_t_nan",
+         "sidecar_last_record_inf", "sidecar_last_record_past_step", "u_not_positive"],
     )
     def test_resume_refuses_unusable_checkpoint(self, tmp_path, constant_scn, capsys, case):
         out = tmp_path / "out"
@@ -190,6 +201,21 @@ class TestDeterminism:
         elif case == "short_csv":  # the header only; the checkpoint counts the step-0 record
             header = (out / CSV_NAME).read_text().splitlines()[0]
             (out / CSV_NAME).write_text(header + "\n")
+        elif case.startswith("sidecar_"):  # the checkpoint is at step 5, after the step-0 record
+            sidecar = out / snapshots.CHECKPOINT_STATE
+            state, carry = snapshots.read_sidecar(sidecar, None)
+            if case == "sidecar_t_nan":
+                state = dataclasses.replace(state, t=math.nan)
+            elif case == "sidecar_last_record_inf":
+                carry.last_record_step = math.inf
+            else:
+                carry.last_record_step = state.step + 1
+            snapshots.write_sidecar(sidecar, state, carry)
+        elif case == "u_not_positive":
+            u = snapshots.read_field(out / snapshots.CHECKPOINT_U)
+            values = u.values.copy()
+            values.flat[7] = -0.5
+            snapshots.write_field(out / snapshots.CHECKPOINT_U, yf.ScalarField(u.grid, values))
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         rc = main(["resume", "--scenario", str(scn), "--out", str(out), "--until", "20steps"])
@@ -235,16 +261,38 @@ class TestCheckCommand:
         assert rc == 1
         assert "h2 = FAIL" in capsys.readouterr().out
 
-    def test_dilation_past_the_torus(self, tmp_path, capsys):
-        """On 6^3 two cells grow the ball to the whole torus; 10^9 cells give the same D, fast."""
-        printed = {}
-        for dilation in (2, 10**9):
+    @pytest.mark.parametrize(
+        "dilation, same_as",
+        [(10**9, 2), (2**63 - 2, 10**6), (2**63 - 1, None), (10**20, None)],
+        ids=["1e9", "2**63-2", "2**63-1", "1e20"],
+    )
+    def test_dilation_past_the_torus(self, tmp_path, capsys, dilation, same_as):
+        """On 6^3 two cells grow the ball to the whole torus; more cells give the same D, fast.
+
+        The distance array holds ``dilation + 1`` as an int64, so a larger one exits 2
+        (``same_as`` None).
+        """
+
+        def check(dilation):
             path = tmp_path / f"ball_{dilation}.txt"
             keys = f"supersolution.dilation = {dilation}\nsupersolution.band = 1\n"
             path.write_text(CONSTANT.replace("8 8 8", "6 6 6") + BALL + keys)
-            assert main(["check", "--scenario", str(path)]) == 0
-            printed[dilation] = capsys.readouterr().out
-        assert printed[10**9] == printed[2]
+            return main(["check", "--scenario", str(path)]), capsys.readouterr()
+
+        rc, printed = check(dilation)
+        if same_as is None:
+            assert rc == 2
+            assert printed.err.startswith("scenario error:")
+        else:
+            assert (rc, printed.out) == (0, check(same_as)[1].out)
+
+    def test_takes_no_out(self, tmp_path, trapped_scn, capsys):
+        """``check`` writes nothing, so ``--out`` is a usage error, and no directory appears."""
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--scenario", str(trapped_scn), "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSupersolutionCommand:
@@ -310,13 +358,15 @@ class TestComputationFailure:
         """inf_outside |f| = 0 fails H1; neither command divides by it."""
         scn = tmp_path / "flat.txt"
         scn.write_text(CONSTANT.replace("f.constant = -1.0", "f.constant = 0.0") + BALL)
-        assert main([command, "--scenario", str(scn), "--out", str(tmp_path / "c")]) == 1
+        out = ["--out", str(tmp_path / "c")] if command == "supersolution" else []
+        assert main([command, "--scenario", str(scn)] + out) == 1
         assert expected in getattr(capsys.readouterr(), stream)
 
     @pytest.mark.parametrize("command", ["eigen", "check", "supersolution"])
     def test_failed_eigen_solve(self, tmp_path, trapped_scn, capsys, monkeypatch, command):
         monkeypatch.setattr(spectral, "cg", lambda op, b, **kwargs: (b.copy(), 1))
-        assert main([command, "--scenario", str(trapped_scn), "--out", str(tmp_path / "o")]) == 1
+        out = [] if command == "check" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--scenario", str(trapped_scn)] + out) == 1
         assert capsys.readouterr().err.startswith(f"FAIL {command}: inner CG")
 
     def test_unverified_barrier(self, tmp_path, trapped_scn, capsys, monkeypatch):
@@ -398,6 +448,49 @@ class TestVerifyCommand:
         rc = main(["verify", "--scenario", str(constant_scn), "--out", str(out)])
         assert rc == 1
         assert "FAIL energy_monotone" in capsys.readouterr().out
+
+    def test_converged_run_output_is_pinned(self, tmp_path, capsys):
+        scn, out = converged_run(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "PASS energy_monotone\n"
+            "PASS envelopes (0 violations)\n"
+            "PASS dissipation_identity error=9.029e-04\n"
+            "PASS decay\n"
+        )
+
+    @pytest.mark.parametrize(
+        "column, value, expected",
+        [
+            ("min_u", "0.5", "FAIL envelopes (1 violations)"),  # the lower barrier is min u0 = 1
+            ("dissipation_cum", "10", "FAIL dissipation_identity error="),
+            ("residual_l2", "1e-3", "FAIL decay"),
+        ],
+        ids=["envelopes", "dissipation_identity", "decay"],
+    )
+    def test_fails_on_tampered_converged_run(self, tmp_path, capsys, column, value, expected):
+        """Each check fails on its own when the last record of a converged run is tampered with."""
+        scn, out = converged_run(tmp_path)
+        lines = (out / CSV_NAME).read_text().splitlines()
+        cols = lines[-1].split(",")
+        cols[lines[0].split(",").index(column)] = value
+        lines[-1] = ",".join(cols)
+        (out / CSV_NAME).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith(expected)
+
+
+def converged_run(tmp_path):
+    """The scenario file and output directory of a stored run of CONVERGING, 14 records long."""
+    scn, out = tmp_path / "converging.txt", tmp_path / "out"
+    scn.write_text(CONVERGING)
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert parse_kv((out / SUMMARY_NAME).read_text())["outcome"] == "converged"
+    assert len((out / CSV_NAME).read_text().splitlines()) == 1 + 14
+    return scn, out
 
 
 # Scenario lines laid over CONSTANT, by case id: each must exit 2.

@@ -219,6 +219,18 @@ class TestDecayCheck:
         assert not yf.decay_check(traj, threshold=1e-8).passed
 
 
+def test_records_only_trajectory(grid8):
+    """A ``Trajectory`` of records and outcome alone, as ``verify`` reads one, feeds each check."""
+    ts = [0.1 * i for i in range(12)]
+    traj = yf.Trajectory(3, make_records(ts, energies=[-2.0] * 12), "timeout")
+    assert traj.final is None
+    steps = [traj.step_t, traj.step_dt, traj.step_energy, traj.step_min_u, traj.step_max_u]
+    assert steps == [[]] * 5
+    assert yf.envelope_check(constant_background(grid8), traj).passed
+    assert yf.dissipation_identity_error(traj) == 0.0
+    assert yf.decay_check(traj).passed
+
+
 class TestGrowthFit:
     def test_power_law_recovered(self):
         ts = np.geomspace(0.01, 10.0, 40)
