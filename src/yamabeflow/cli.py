@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
@@ -102,14 +101,21 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _run_loop(scn, args, start=None, carry=None) -> int:
-    """The loop that ``run`` starts and ``resume`` continues from ``start``/``carry``."""
+def _run_loop(scn, args, start=None, carry=None, csv_prefix=None) -> int:
+    """The flow loop and the one CSV writer; ``resume`` passes start, carry and csv_prefix."""
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
     out = _out_dir(args)
     orders = cfg.resolve_orders(scn.grid.n)
-    with open(out / CSV_NAME, "w" if start is None else "a") as csv:
-        if start is None:
-            csv.write(_csv_header(orders) + "\n")
+    if start is None:
+        snapshots.remove_checkpoint(out)
+        csv_prefix = [_csv_header(orders)]
+
+    def on_checkpoint(state, carry):
+        if state.step % args.checkpoint_every == 0:
+            snapshots.write_checkpoint(out, state, carry)
+
+    with open(out / CSV_NAME, "w") as csv:
+        csv.write("".join(line + "\n" for line in csv_prefix))
 
         def on_record(rec):
             csv.write(_csv_row(rec, orders) + "\n")
@@ -117,8 +123,7 @@ def _run_loop(scn, args, start=None, carry=None) -> int:
 
         traj = flowmod.run(
             scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
-            checkpoint_every=args.checkpoint_every,
-            on_checkpoint=functools.partial(snapshots.write_checkpoint, out),
+            on_checkpoint=on_checkpoint if args.checkpoint_every > 0 else None,
         )
     snapshots.write_field(out / FINAL_U, traj.final.u)
     _write_summary(out, traj, stationary_residual(scn.background, traj.final.u))
@@ -137,12 +142,16 @@ def cmd_resume(scn, args) -> int:
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
     if start.t > cfg.t_max or (cfg.max_steps is not None and start.step > cfg.max_steps):
         raise ScenarioError(f"checkpoint at step {start.step}, t={start.t:g} is past the stop")
+    s, k = start.step, cfg.record_every  # records fall on step 0 and on each multiple of k
+    if (carry.last_record_step, carry.records_written) != (s // k * k, s // k + 1):
+        raise ScenarioError(f"checkpoint at step {s} does not fit flow.record_every = {k}: {carry}")
+    if lines[:1] != [_csv_header(cfg.resolve_orders(scn.grid.n))]:
+        raise ScenarioError(f"the header of {CSV_NAME} does not fit flow.lp_orders")
     if len(lines) < 1 + carry.records_written:
         raise ScenarioError(
             f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {carry.records_written}"
         )
-    (args.out / CSV_NAME).write_text("\n".join(lines[: 1 + carry.records_written]) + "\n")
-    return _run_loop(scn, args, start, carry)
+    return _run_loop(scn, args, start, carry, lines[: 1 + carry.records_written])
 
 
 def cmd_eigen(scn, args) -> int:

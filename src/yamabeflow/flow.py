@@ -215,7 +215,6 @@ def run(
     start: FlowState | None = None,
     carry: RunCarry | None = None,
     on_record=None,
-    checkpoint_every: int = 0,
     on_checkpoint=None,
 ) -> Trajectory:
     """Advance the flow to convergence, timeout, or blow-up, recording diagnostics.
@@ -223,6 +222,8 @@ def run(
     ``start``/``carry`` let a caller continue an interrupted run from a
     checkpoint; records, the trapezoid dissipation accumulator, and step
     sizes then continue bitwise as if the run had never stopped.
+    ``on_checkpoint(state, carry)`` sees, in order and after its record, every
+    state after step 0 that the run continues from; the caller picks which to store.
     """
     require_same_grid(bg, u0)
     require_positive(u0, "u0")
@@ -255,16 +256,10 @@ def run(
             carry.last_record_step = state.step
             if on_record is not None:
                 on_record(rec)
-        if (
-            checkpoint_every > 0
-            and outcome is None
-            and state.step > 0
-            and state.step % checkpoint_every == 0
-            and on_checkpoint is not None
-        ):
-            on_checkpoint(state, carry)
         if outcome is not None:
             break
+        if on_checkpoint is not None and state.step > 0:
+            on_checkpoint(state, carry)
 
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt

@@ -153,13 +153,6 @@ class SubdomainMask:
     def issubset(self, other: "SubdomainMask") -> bool:
         return bool(np.all(other.inside | ~self.inside))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubdomainMask)
-            and self.grid == other.grid
-            and bool(np.array_equal(self.inside, other.inside))
-        )
-
     def __repr__(self):
         return f"SubdomainMask(grid={self.grid.sizes}, count={self.count})"
 

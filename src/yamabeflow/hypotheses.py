@@ -109,36 +109,24 @@ def _check_blend(dilation: int, band: int) -> None:
         )
 
 
-def _construction(
-    bg: Background,
-    omega: SubdomainMask,
-    dilation: int,
-    band: int,
-    tol: float,
-) -> tuple[ScalarField, float, float, float]:
-    """Cutoff blend ``b = chi*phi0 + 1 - chi`` with its bounds and ``lambda_D``.
+def _assess(
+    bg: Background, omega: SubdomainMask, h1: HypothesisReport, dilation: int, band: int, tol: float
+) -> tuple[HypothesisReport, np.ndarray, dict[str, float]]:
+    """H2 decided once from ``h1``: the full report, the blend and the certificate fields.
 
+    The blend is ``b = chi*phi0 + 1 - chi``, with ``phi0`` the eigenfunction of ``D``.
     ``chi`` is 1 on the one-cell dilation of omega (so the stencil at omega
     points only sees the pure eigenfunction), 0 outside ``D``, and a quintic
     smoothstep of the scaled grid distance over the ``band`` cells between.
     An empty omega gives ``chi = 0``, so ``b = 1`` and ``lambda_D = inf``.
+    The fields are the certificate's ``m0``, ``m1``, ``lambda_d``, ``delta_lo`` and ``delta_hi``.
     """
     _check_blend(dilation, band)
     dist = chebyshev_distance(omega, dilation)
     eig = dirichlet_eigen(bg, SubdomainMask(bg.grid, dist <= dilation), tol=tol)
     chi = _smoothstep((dilation + 1.0 - dist) / band)
-    b_vals = chi * eig.phi.values + 1.0 - chi
-    b = ScalarField(bg.grid, b_vals)
-    m0 = b.min()
-    m1 = float(np.abs(_conformal_values(bg, b_vals)).max())
-    return b, m0, m1, eig.lam
-
-
-def _assess(
-    bg: Background, omega: SubdomainMask, h1: HypothesisReport, dilation: int, band: int, tol: float
-) -> tuple[HypothesisReport, ScalarField, float, float, float, float, float]:
-    """H2 decided once from ``h1``: the full report, blend, m0, m1, lambda_D and delta window."""
-    b, m0, m1, lambda_d = _construction(bg, omega, dilation, band, tol)
+    b = chi * eig.phi.values + 1.0 - chi
+    m0, m1, lambda_d = float(b.min()), float(np.abs(_conformal_values(bg, b)).max()), eig.lam
     exp = 1.0 / (bg.big_n - 1.0)
     sup_f, absf = h1.sup_f_omega, h1.inf_absf_complement
     if lambda_d < 0.0 and sup_f < 0.0:  # L(delta*phi_D) >= 0 on Omega then needs f < 0 there
@@ -153,7 +141,8 @@ def _assess(
         delta_hi = 0.0
     c_omega = math.inf if math.isinf(lambda_d) else lambda_d * m0**bg.big_n / m1
     h2 = 0.0 < delta_hi and delta_lo <= delta_hi and delta_lo < math.inf  # [0, 0], [inf, inf]
-    return replace(h1, c_omega=c_omega, h2_holds=h2), b, m0, m1, lambda_d, delta_lo, delta_hi
+    fields = dict(m0=m0, m1=m1, lambda_d=lambda_d, delta_lo=delta_lo, delta_hi=delta_hi)
+    return replace(h1, c_omega=c_omega, h2_holds=h2), b, fields
 
 
 def evaluate_hypotheses(
@@ -191,20 +180,21 @@ def build_supersolution(
             "eigenvalue condition fails for omega "
             f"(lambda={h1.lambda_omega:g}, max f outside={h1.max_f_complement:g})"
         )
-    report, b, m0, m1, lambda_d, delta_lo, delta_hi = _assess(bg, omega, h1, dilation, band, tol)
+    report, b, fields = _assess(bg, omega, h1, dilation, band, tol)
+    delta_lo, delta_hi = fields["delta_lo"], fields["delta_hi"]
     if not report.h2_holds:
         raise DeltaWindowEmptyError(delta_lo, delta_hi, report.c_omega)
     if math.isinf(delta_hi):
         delta = 2.0 * delta_lo if delta_lo > 0.0 else 1.0
     else:
         delta = math.sqrt(delta_lo * delta_hi) if delta_lo > 0.0 else 0.5 * delta_hi
-    ubar = ScalarField(bg.grid, delta * b.values)
+    ubar = ScalarField(bg.grid, delta * b)
     min_l = verify_supersolution(bg, ubar)
     if min_l < -_MIN_L_TOL:
         raise ComputationFailure(
             f"supersolution verification failed: min L(ubar) = {min_l:g} < -{_MIN_L_TOL:g}"
         )
-    return SupersolutionCertificate(ubar, delta, m0, m1, lambda_d, min_l, delta_lo, delta_hi)
+    return SupersolutionCertificate(ubar, delta, min_l_ubar=min_l, **fields)
 
 
 def verify_supersolution(bg: Background, ubar: ScalarField) -> float:

@@ -29,7 +29,7 @@ CHECKPOINT_STATE = "checkpoint.state.yflo"
 
 __all__ = [
     "write_field", "read_field", "write_sidecar", "read_sidecar",
-    "write_checkpoint", "read_checkpoint", "MAGIC", "VERSION",
+    "write_checkpoint", "read_checkpoint", "remove_checkpoint", "MAGIC", "VERSION",
 ]
 
 
@@ -107,3 +107,9 @@ def read_checkpoint(out) -> tuple[FlowState, RunCarry]:
     u = read_field(out / CHECKPOINT_U)
     require_positive(u, "checkpoint u")
     return read_sidecar(out / CHECKPOINT_STATE, u)
+
+
+def remove_checkpoint(out) -> None:
+    """Delete the checkpoint pair in directory ``out``, where there is one."""
+    for name in (CHECKPOINT_U, CHECKPOINT_STATE):
+        (Path(out) / name).unlink(missing_ok=True)

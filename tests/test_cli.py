@@ -154,13 +154,15 @@ class TestDeterminism:
         assert (out1 / CSV_NAME).read_bytes() == (out2 / CSV_NAME).read_bytes()
         assert (out1 / FINAL_U).read_bytes() == (out2 / FINAL_U).read_bytes()
 
-    def test_resume_is_bitwise_invisible(self, tmp_path, constant_scn):
+    @pytest.mark.parametrize("every", ["25", "7"])
+    def test_resume_is_bitwise_invisible(self, tmp_path, constant_scn, every):
+        """At 7 the last checkpoint, at step 49, is neither the stop nor a record step."""
         ref = tmp_path / "ref"
         main(["run", "--scenario", str(constant_scn), "--out", str(ref), "--until", "80steps"])
 
         split = tmp_path / "split"
         main(["run", "--scenario", str(constant_scn), "--out", str(split),
-              "--until", "50steps", "--checkpoint-every", "25"])
+              "--until", "50steps", "--checkpoint-every", every])
         main(["resume", "--scenario", str(constant_scn), "--out", str(split),
               "--until", "80steps"])
         assert (split / CSV_NAME).read_bytes() == (ref / CSV_NAME).read_bytes()
@@ -179,10 +181,28 @@ class TestDeterminism:
         for name in (CSV_NAME, FINAL_U, SUMMARY_NAME):
             assert (split / name).read_bytes() == (ref / name).read_bytes()
 
+    def test_run_removes_an_earlier_checkpoint(self, tmp_path):
+        """A checkpoint of an earlier run in ``--out`` does not outlive a new ``run``."""
+        text = CONSTANT.replace("8 8 8", "6 6 6").replace("= 20", "= 5") + (
+            "u0.bump.0.amplitude = 0.1\nu0.bump.0.center = 0.5 0.5 0.5\nu0.bump.0.width = 0.2\n"
+        )
+        a, b, out = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "out"
+        a.write_text(text)
+        b.write_text(text.replace("amplitude = 0.1", "amplitude = 0.3"))
+        main(["run", "--scenario", str(a), "--out", str(out),
+              "--until", "40steps", "--checkpoint-every", "10"])
+        assert (out / snapshots.CHECKPOINT_U).exists()
+        assert main(["run", "--scenario", str(b), "--out", str(out), "--until", "60steps"]) == 0
+        assert not (out / snapshots.CHECKPOINT_U).exists()
+        assert not (out / snapshots.CHECKPOINT_STATE).exists()
+        assert main(["resume", "--scenario", str(b), "--out", str(out), "--until", "80steps"]) == 2
+
     @pytest.mark.parametrize(
         "case",
         ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv", "stop_passed", "sidecar_t_nan",
-         "sidecar_last_record_inf", "sidecar_last_record_past_step", "u_not_positive"],
+         "sidecar_last_record_inf", "sidecar_last_record_past_step", "u_not_positive",
+         "records_written_zero", "records_written_past", "record_every_changed",
+         "lp_orders_changed"],
     )
     def test_resume_refuses_unusable_checkpoint(self, tmp_path, constant_scn, capsys, case):
         out = tmp_path / "out"
@@ -201,16 +221,24 @@ class TestDeterminism:
         elif case == "short_csv":  # the header only; the checkpoint counts the step-0 record
             header = (out / CSV_NAME).read_text().splitlines()[0]
             (out / CSV_NAME).write_text(header + "\n")
-        elif case.startswith("sidecar_"):  # the checkpoint is at step 5, after the step-0 record
+        elif case.startswith(("sidecar_", "records_")):  # at step 5, counting the step-0 record
             sidecar = out / snapshots.CHECKPOINT_STATE
             state, carry = snapshots.read_sidecar(sidecar, None)
             if case == "sidecar_t_nan":
                 state = dataclasses.replace(state, t=math.nan)
             elif case == "sidecar_last_record_inf":
                 carry.last_record_step = math.inf
-            else:
+            elif case == "sidecar_last_record_past_step":
                 carry.last_record_step = state.step + 1
+            else:  # the CSV holds 2 records: step 0 and the outcome at step 10
+                carry.records_written = 0 if case == "records_written_zero" else 2
             snapshots.write_sidecar(sidecar, state, carry)
+        elif case == "record_every_changed":  # every 2 steps gives 3 records by step 5, not 1
+            scn = tmp_path / "changed.txt"
+            scn.write_text(CONSTANT.replace("record_every = 20", "record_every = 2"))
+        elif case == "lp_orders_changed":
+            scn = tmp_path / "changed.txt"
+            scn.write_text(CONSTANT + "flow.lp_orders = 2 3\n")
         elif case == "u_not_positive":
             u = snapshots.read_field(out / snapshots.CHECKPOINT_U)
             values = u.values.copy()

@@ -241,6 +241,19 @@ class TestResumeCarry:
         assert second.final.t == full.final.t
         assert second.records[-1].dissipation_cum == full.records[-1].dissipation_cum
 
+    def test_on_checkpoint_sees_every_continued_state(self, grid8):
+        """Steps 1 .. k-1 in order, each with the counters that ``resume`` requires."""
+        bg = constant_background(grid8, r0=-2.0, f=-1.0)
+        k, every = 11, 3
+        seen = []
+
+        def cb(state, carry):
+            seen.append((state.step, carry.last_record_step, carry.records_written))
+
+        cfg = yf.FlowConfig(t_max=10.0, max_steps=k, record_every=every)
+        yf.run(bg, yf.ScalarField.constant(grid8, 1.0), cfg, on_checkpoint=cb)
+        assert seen == [(s, s // every * every, s // every + 1) for s in range(1, k)]
+
     def test_start_on_another_grid_rejected(self, grid8):
         bg = constant_background(grid8)
         u0 = yf.ScalarField.constant(grid8, 1.0)

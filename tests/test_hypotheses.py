@@ -200,6 +200,28 @@ class TestBumpCertificate:
             yf.build_supersolution(bg, yf.superlevel_mask(bg, 0.5))
         assert len(solves) == 1
 
+    @pytest.mark.parametrize(
+        "assess", [yf.evaluate_hypotheses, yf.build_supersolution],
+        ids=["evaluate_hypotheses", "build_supersolution"],
+    )
+    def test_two_eigen_solves_omega_then_d(self, monkeypatch, assess):
+        """The report and the certificate each take one solve on Omega, then one on D."""
+        bg = trapped_bump_background()
+        omega = yf.superlevel_mask(bg, 0.5)
+        solves = []
+        solve = hypotheses.dirichlet_eigen
+
+        def counted(*args, **kwargs):
+            solves.append(args[1].inside)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hypotheses, "dirichlet_eigen", counted)
+        assess(bg, omega)
+        d = yf.dilate(omega, hypotheses.DEFAULT_DILATION)
+        assert len(solves) == 2
+        assert np.array_equal(solves[0], omega.inside)
+        assert np.array_equal(solves[1], d.inside)
+
     def test_band_bounded_by_dilation(self):
         bg = trapped_bump_background()
         omega = yf.superlevel_mask(bg, 0.5)
