@@ -19,7 +19,7 @@ from . import hypotheses as hyp
 from . import snapshots
 from .diagnostics import DiagnosticsRecord
 from .errors import ComputationFailure, ScenarioError
-from .flow import Trajectory
+from .flow import Trajectory, _lp_name
 from .operators import stationary_residual
 from .scenario import load_scenario, parse_kv
 from .spectral import dirichlet_eigen
@@ -33,16 +33,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_p(p: float) -> str:
-    return f"{p:g}"
-
-
 # The scalar columns of the CSV, before its Lp columns, named as the record fields they hold.
 _CSV_SCALARS = ("t", "dt", "energy", "min_u", "max_u", "volume_g", "residual_sup")
 
 
 def _csv_header(orders) -> str:
-    cols = [*_CSV_SCALARS, *(f"residual_l{_fmt_p(p)}" for p in orders), "dissipation_cum"]
+    cols = [*_CSV_SCALARS, *(f"residual_l{_lp_name(p)}" for p in orders), "dissipation_cum"]
     return ",".join(cols)
 
 

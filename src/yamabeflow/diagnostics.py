@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
-from .operators import Background, _curvature_values, _laplacian_g_values
+from .operators import Background, _curvature_values, _laplacian_g_values, _periodic_diff
 
 __all__ = [
     "DiagnosticsRecord",
@@ -128,8 +128,8 @@ def _weighted_gradient_sq_integral(bg: Background, w: np.ndarray, uv: np.ndarray
     u2 = uv * uv
     total = 0.0
     for axis, h in enumerate(bg.grid.spacings):
-        face = 0.5 * (u2 + np.roll(u2, -1, axis=axis))
-        d = (np.roll(w, -1, axis=axis) - w) / h
+        face = 0.5 * _periodic_diff(u2, axis, op=np.add)
+        d = _periodic_diff(w, axis) / h
         total += _fsum(face * d * d)
     return total * bg.grid.cell_volume
 

@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .errors import PositivityCollapseError
 from .grid import ScalarField, _fsum, require_same_grid
-from .operators import Background, _curvature_values, energy, require_positive
+from .operators import Background, _curvature_values, _periodic_diff, energy, require_positive
 
 __all__ = [
     "FlowState",
@@ -39,6 +39,11 @@ class FlowState:
     t: float
     step: int
     dt_last: float
+
+
+def _lp_name(p: float) -> str:
+    """The Lp order ``p`` as its CSV column ``residual_l<name>`` spells it."""
+    return f"{p:g}"
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,14 @@ class FlowConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         orders = self.lp_orders
         if orders is not None and not (
-            orders and all(1.0 <= p < np.inf for p in orders) and len(set(orders)) == len(orders)
+            orders
+            and all(1.0 <= p < np.inf for p in orders)
+            and len({_lp_name(p) for p in orders}) == len(orders)
         ):
-            raise ValueError(f"lp orders must be non-empty, distinct and in [1, inf), got {orders}")
+            raise ValueError(
+                f"lp orders must be non-empty, in [1, inf) and distinct as CSV column names, "
+                f"got {orders}"
+            )
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 
@@ -100,24 +110,30 @@ class Trajectory:
     certificate: object | None = None
 
 
-def _residual_velocity(bg: Background, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    resid = _curvature_values(bg, uv) - bg.f.values
+def _residual_velocity(bg: Background, uv: np.ndarray, diffs=None) -> tuple[np.ndarray, np.ndarray]:
+    resid = _curvature_values(bg, uv, diffs) - bg.f.values
     return resid, -0.25 * (bg.n - 2) * resid * uv
 
 
 class _StateEval:
-    """Everything the step loop reads from one state, from one ``R_g - f``."""
+    """Everything the step loop reads from one state, from one ``R_g - f``.
+
+    The forward differences of ``u`` feed both the energy and the curvature,
+    and the energy takes the weight ``u^(N+1)``.
+    """
 
     __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
 
     def __init__(self, bg: Background, u: ScalarField):
         uv = u.values
-        self.resid, self.velocity = _residual_velocity(bg, uv)
         self.weight = uv ** (bg.big_n + 1.0)
+        diffs = [_periodic_diff(uv, axis) for axis in range(uv.ndim)]
+        self.energy = energy(bg, u, diffs, self.weight)
+        self.resid, self.velocity = _residual_velocity(bg, uv, diffs)
+        del diffs  # before the exact sum below, so that the state's peak memory does not grow
         self.min_u = float(uv.min())
         self.max_u = float(uv.max())
         self.residual_sup = float(np.abs(self.resid).max())
-        self.energy = energy(bg, u)
         self.sq = _fsum(self.resid * self.resid * self.weight) * bg.grid.cell_volume
 
 
@@ -153,7 +169,8 @@ def stable_dt(
 
 
 def _admissible(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr))) and bool(np.all(arr > 0.0))
+    # Positive and finite; NaN fails the first comparison.
+    return bool(arr.min() > 0.0 and arr.max() < np.inf)
 
 
 def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray | None:

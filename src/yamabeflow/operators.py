@@ -11,6 +11,7 @@ the discrete Green identity and the dissipation identity) holds exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +71,40 @@ def require_positive(u: ScalarField, what: str = "u"):
         )
 
 
-def _laplacian_values(v: np.ndarray, spacings) -> np.ndarray:
-    out = np.zeros_like(v)
-    for axis, h in enumerate(spacings):
-        dp = np.roll(v, -1, axis=axis) - v
-        out += (dp - np.roll(dp, 1, axis=axis)) / (h * h)
+def _periodic_diff(v: np.ndarray, axis: int, backward: bool = False, op=np.subtract) -> np.ndarray:
+    """``op(v[i+1], v[i])`` at each i of the periodic ``axis``, or at i+1 when ``backward``.
+
+    So the forward difference by default, the backward one ``v[i] - v[i-1]``
+    with ``backward``, and the face sum with ``op=np.add``.  One contiguous
+    ``op`` over the flat array pairs each point with the one a stride ahead;
+    then the wrap face, where that pairing runs into the next row, is redone.
+    Every entry is the one IEEE operation of the ``np.roll`` form, bit for bit.
+    """
+    v = np.ascontiguousarray(v)
+    out = np.empty_like(v)
+    s = math.prod(v.shape[axis + 1 :])
+    flat, flat_out = v.ravel(), out.ravel()
+    op(flat[s:], flat[:-s], out=flat_out[s:] if backward else flat_out[:-s])
+    face = (slice(None),) * axis
+    op(v[face + (0,)], v[face + (-1,)], out=out[face + (0 if backward else -1,)])
     return out
 
 
-def _conformal_values(bg: Background, v: np.ndarray) -> np.ndarray:
-    return -bg.c_n * _laplacian_values(v, bg.grid.spacings) + bg.r0.values * v
+def _laplacian_values(v: np.ndarray, spacings, diffs=None) -> np.ndarray:
+    # ``diffs``: the forward differences of ``v``, when the caller holds them.
+    out = np.zeros_like(v)
+    for axis, h in enumerate(spacings):
+        dp = diffs[axis] if diffs is not None else _periodic_diff(v, axis)
+        out += _periodic_diff(dp, axis, backward=True) / (h * h)
+    return out
 
 
-def _curvature_values(bg: Background, uv: np.ndarray) -> np.ndarray:
-    return uv ** (-bg.big_n) * _conformal_values(bg, uv)
+def _conformal_values(bg: Background, v: np.ndarray, diffs=None) -> np.ndarray:
+    return -bg.c_n * _laplacian_values(v, bg.grid.spacings, diffs) + bg.r0.values * v
+
+
+def _curvature_values(bg: Background, uv: np.ndarray, diffs=None) -> np.ndarray:
+    return uv ** (-bg.big_n) * _conformal_values(bg, uv, diffs)
 
 
 def laplacian(w: ScalarField) -> ScalarField:
@@ -107,12 +128,12 @@ def scalar_curvature(bg: Background, u: ScalarField) -> ScalarField:
 def _laplacian_g_values(bg: Background, uv: np.ndarray, wv: np.ndarray) -> np.ndarray:
     # Divergence form with face-averaged u^2; reduces bitwise to the flat
     # Laplacian for u == 1 because the face coefficients are exactly 1.0.
-    # The backward flux is the forward one rolled by one cell.
+    # The backward flux is the forward one a cell back.
     u2 = uv * uv
     out = np.zeros_like(wv)
     for axis, h in enumerate(bg.grid.spacings):
-        flux = 0.5 * (u2 + np.roll(u2, -1, axis=axis)) * (np.roll(wv, -1, axis=axis) - wv)
-        out += (flux - np.roll(flux, 1, axis=axis)) / (h * h)
+        flux = 0.5 * _periodic_diff(u2, axis, op=np.add) * _periodic_diff(wv, axis)
+        out += _periodic_diff(flux, axis, backward=True) / (h * h)
     return uv ** (-(bg.big_n + 1.0)) * out
 
 
@@ -124,28 +145,35 @@ def laplacian_g(bg: Background, u: ScalarField, w: ScalarField) -> ScalarField:
     return ScalarField(w.grid, _laplacian_g_values(bg, u.values, w.values))
 
 
-def gradient_squared(w: ScalarField) -> np.ndarray:
-    """Per-cell sum over axes of squared forward differences."""
+def gradient_squared(w: ScalarField, diffs=None) -> np.ndarray:
+    """Per-cell sum over axes of squared forward differences.
+
+    ``diffs`` are the forward differences of ``w``, when the caller holds them.
+    """
     out = np.zeros_like(w.values)
     for axis, h in enumerate(w.grid.spacings):
-        d = (np.roll(w.values, -1, axis=axis) - w.values) / h
+        d = (diffs[axis] if diffs is not None else _periodic_diff(w.values, axis)) / h
         out += d * d
     return out
 
 
-def energy(bg: Background, u: ScalarField) -> float:
+def energy(bg: Background, u: ScalarField, diffs=None, weight=None) -> float:
     """Curvature-prescription energy of the conformal factor ``u``.
 
     ``integral(c_n |grad u|^2 + R0 u^2 - ((n-2)/n) f u^(2n/(n-2)))`` against
-    the background volume element; nonincreasing along the flow.
+    the background volume element; nonincreasing along the flow.  A caller
+    that holds the forward differences of ``u`` or its weight ``u^(N+1)``
+    passes them as ``diffs`` and ``weight``.
     """
     require_same_grid(bg, u)
     require_positive(u)
     uv = u.values
+    if weight is None:
+        weight = uv ** (bg.big_n + 1.0)
     density = (
-        bg.c_n * gradient_squared(u)
+        bg.c_n * gradient_squared(u, diffs)
         + bg.r0.values * uv * uv
-        - ((bg.n - 2.0) / bg.n) * bg.f.values * uv ** (bg.big_n + 1.0)
+        - ((bg.n - 2.0) / bg.n) * bg.f.values * weight
     )
     return _fsum(density) * bg.grid.cell_volume
 

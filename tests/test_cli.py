@@ -558,6 +558,7 @@ BOUNDARY_CASES = {
     "omega_lo_nan": "omega.type = slab\nomega.axis = 0\nomega.lo = nan\nomega.hi = 0.6",
     "omega_center_nan": "omega.type = ball\nomega.center = 0.5 nan 0.5\nomega.radius = 0.3",
     "lp_orders_repeated": "flow.lp_orders = 2 2",
+    "lp_orders_same_column": "flow.lp_orders = 2 2.0000001",
     "flow_key_misspelled": "flow.tmax = 5",
     "flow_max_steps": "flow.max_steps = 10",
     "supersolution_key_misspelled": "supersolution.dilaton = 3",
@@ -630,6 +631,17 @@ class TestScenarioBoundary:
             err = capsys.readouterr().err
             assert err.startswith("scenario error: unknown or unused keys:")
             assert UNREAD_KEYS[case] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "resume", "eigen", "check", "supersolution", "verify"])
+    def test_orders_sharing_a_column_exit_2(self, tmp_path, capsys, command):
+        """2 and 2.0000001 both print as ``residual_l2``, so no command accepts them."""
+        bad = write_bad_scenario(tmp_path, BOUNDARY_CASES["lp_orders_same_column"])
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(bad)] + ([] if command == "check" else ["--out", str(out)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "distinct as CSV column names" in err
         assert not out.exists()
 
     def test_overflowing_noise_exits_2(self, tmp_path, capsys):

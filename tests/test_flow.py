@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import yamabeflow as yf
 from yamabeflow import flow as flowmod
+from yamabeflow.cli import _csv_row
 from yamabeflow.errors import GridMismatchError, PositivityCollapseError
 from yamabeflow.flow import FlowState, RunCarry
 from yamabeflow.grid import _fsum
@@ -187,6 +190,49 @@ class TestEvaluationCount:
         assert len(calls) == 1 + 4 * k
 
 
+class TestStateEval:
+    def test_shares_bits_with_energy_and_curvature(self, grid8):
+        """The differences and weight one evaluation shares give the stand-alone bits."""
+        bg = trapped_bump_background(8)
+        u = yf.ScalarField(grid8, 1.0 + 0.1 * np.random.default_rng(5).random(grid8.shape))
+        ev = flowmod._StateEval(bg, u)
+        assert ev.energy.hex() == yf.energy(bg, u).hex()
+        assert ev.resid.tobytes() == (_curvature_values(bg, u.values) - bg.f.values).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0])
+    def test_admissible_rejects_non_positive_or_non_finite(self, bad):
+        arr = np.ones((4, 5, 6))
+        arr[1, 2, 3] = bad
+        assert flowmod._admissible(arr) is False
+
+    def test_admissible_accepts_positive_finite(self):
+        arr = 1e-300 + np.random.default_rng(6).random((4, 5, 6))
+        assert flowmod._admissible(arr) is True
+
+
+class TestDigests:
+    """A short fixed run pins the bytes of its final u and of its CSV rows.
+
+    A change meant to leave every number alone, such as a faster stencil or
+    a per-state quantity shared rather than recomputed, keeps both digests.
+    """
+
+    def test_short_run_digests_are_pinned(self, grid8):
+        bg = trapped_bump_background(8)
+        u0 = yf.ScalarField(grid8, 1.0 + 0.1 * np.random.default_rng(13).random(grid8.shape))
+        cfg = yf.FlowConfig(max_steps=40, record_every=1)
+        traj = yf.run(bg, u0, cfg)
+        assert (traj.outcome, traj.final.step, len(traj.records)) == ("timeout", 40, 41)
+        orders = cfg.resolve_orders(bg.n)
+        rows = "".join(_csv_row(rec, orders) + "\n" for rec in traj.records)
+        assert hashlib.sha256(traj.final.u.values.tobytes()).hexdigest() == (
+            "ecf9456bba8318ae9aa66f46d34705a5a8449853ec9bf0dc65fc214686d99847"
+        )
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "86ffe57dfcb48f9a8723682f8d64c8aa02537dbe8db846b76c2e3d935ffceab2"
+        )
+
+
 class TestDissipationAccumulator:
     def test_matches_independent_trapezoid(self, grid8):
         bg = trapped_bump_background(8)
@@ -272,6 +318,8 @@ class TestResumeCarry:
             yf.FlowConfig(lp_orders=(0.5,))
         with pytest.raises(ValueError, match="non-empty"):
             yf.FlowConfig(lp_orders=())  # no Lp columns, and a vacuous decay check
+        with pytest.raises(ValueError, match="CSV column names"):
+            yf.FlowConfig(lp_orders=(2.0, 2.0000001))  # both print as residual_l2
 
     @pytest.mark.parametrize(
         "field, value",

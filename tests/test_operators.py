@@ -8,6 +8,7 @@ from yamabeflow.grid import _fsum
 from yamabeflow.operators import (
     _laplacian_g_values,
     _laplacian_values,
+    _periodic_diff,
     gradient_squared,
     require_positive,
 )
@@ -252,11 +253,13 @@ NON_DYADIC = yf.GridSpec(3, (5, 6, 7), (1.0, 1.3, 0.7))
 FOUR_D = yf.GridSpec(4, (4, 5, 4, 6), (1.0, 1.3, 0.7, 0.9))
 
 
-@pytest.mark.parametrize("grid", [NON_DYADIC, FOUR_D], ids=["non_dyadic", "four_d"])
+@pytest.mark.parametrize(
+    "grid", [NON_DYADIC, FOUR_D, unit_grid(16), unit_grid(24)], ids=["non_dyadic", "four_d", "16", "24"]
+)
 def test_stencils_bitwise_equal_reference_forms(grid):
-    # Each stencil rolls its forward difference (or flux) once per axis for
-    # the backward one; the reference forms above, which take every backward
-    # difference from its own roll, must agree bit for bit.
+    # Each stencil takes its differences, face sums and backward fluxes from
+    # one flat-array subtraction (or addition) per axis; the reference forms
+    # above, which take every one from its own np.roll, must agree bit for bit.
     rng = np.random.default_rng(11)
     bg = constant_background(grid)
     w = rng.standard_normal(grid.shape)
@@ -269,6 +272,19 @@ def test_stencils_bitwise_equal_reference_forms(grid):
     assert _weighted_gradient_sq_integral(bg, w, u) == _reference_weighted_gradient_sq_integral(
         bg, w, u
     )
+
+
+@pytest.mark.parametrize(
+    "v",
+    [(np.arange(24.0).reshape(4, 6) ** 1.5)[:, None, :], np.asfortranarray(np.arange(60.0).reshape(3, 4, 5) ** 1.5)],
+    ids=["size_one_axis", "fortran_order"],
+)
+def test_periodic_diff_equals_roll_forms(v):
+    """A size-one axis (whose stride numpy may report as 0) and a non-C layout change no bit."""
+    for axis in range(v.ndim):
+        assert np.array_equal(_periodic_diff(v, axis), np.roll(v, -1, axis) - v)
+        assert np.array_equal(_periodic_diff(v, axis, backward=True), v - np.roll(v, 1, axis))
+        assert np.array_equal(_periodic_diff(v, axis, op=np.add), v + np.roll(v, -1, axis))
 
 
 def test_constants_map_to_exact_zero_on_non_dyadic_grid():
