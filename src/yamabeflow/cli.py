@@ -19,7 +19,7 @@ from . import hypotheses as hyp
 from . import snapshots
 from .diagnostics import DiagnosticsRecord
 from .errors import ComputationFailure, ScenarioError
-from .flow import Trajectory, _lp_name
+from .flow import Trajectory
 from .operators import stationary_residual
 from .scenario import load_scenario, parse_kv
 from .spectral import dirichlet_eigen
@@ -38,7 +38,8 @@ _CSV_SCALARS = ("t", "dt", "energy", "min_u", "max_u", "volume_g", "residual_sup
 
 
 def _csv_header(orders) -> str:
-    cols = [*_CSV_SCALARS, *(f"residual_l{_lp_name(p)}" for p in orders), "dissipation_cum"]
+    """The CSV header; the Lp order p heads its column as ``residual_l<p:g>``."""
+    cols = [*_CSV_SCALARS, *(f"residual_l{p:g}" for p in orders), "dissipation_cum"]
     return ",".join(cols)
 
 
@@ -142,7 +143,7 @@ def cmd_resume(scn, args) -> int:
     if (carry.last_record_step, carry.records_written) != (s // k * k, s // k + 1):
         raise ScenarioError(f"checkpoint at step {s} does not fit flow.record_every = {k}: {carry}")
     if lines[:1] != [_csv_header(cfg.resolve_orders(scn.grid.n))]:
-        raise ScenarioError(f"the header of {CSV_NAME} does not fit flow.lp_orders")
+        raise ScenarioError(f"the header of {CSV_NAME} is not the one a run writes")
     if len(lines) < 1 + carry.records_written:
         raise ScenarioError(
             f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {carry.records_written}"

@@ -12,12 +12,13 @@ first RK4 stage, the trapezoid dissipation and the diagnostics record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .errors import PositivityCollapseError
+from .errors import ComputationFailure, PositivityCollapseError
 from .grid import ScalarField, _fsum, require_same_grid
 from .operators import Background, _curvature_values, _periodic_diff, energy, require_positive
 
@@ -41,11 +42,6 @@ class FlowState:
     dt_last: float
 
 
-def _lp_name(p: float) -> str:
-    """The Lp order ``p`` as its CSV column ``residual_l<name>`` spells it."""
-    return f"{p:g}"
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     cfl_fraction: float = 0.8
@@ -53,7 +49,6 @@ class FlowConfig:
     residual_stop: float = 1e-6
     blowup_ceiling: float = 1e6
     record_every: int = 10
-    lp_orders: tuple[float, ...] | None = None
     fixed_dt: float | None = None
     max_steps: int | None = None
 
@@ -66,22 +61,11 @@ class FlowConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        orders = self.lp_orders
-        if orders is not None and not (
-            orders
-            and all(1.0 <= p < np.inf for p in orders)
-            and len({_lp_name(p) for p in orders}) == len(orders)
-        ):
-            raise ValueError(
-                f"lp orders must be non-empty, in [1, inf) and distinct as CSV column names, "
-                f"got {orders}"
-            )
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 
     def resolve_orders(self, n: int) -> tuple[float, ...]:
-        if self.lp_orders is not None:
-            return tuple(float(p) for p in self.lp_orders)
+        """The Lp ladder of the convergence proof: 2, n/2 and n^2/(2(n-2)), 2 first."""
         return tuple(dict.fromkeys((2.0, n / 2.0, n * n / (2.0 * (n - 2.0)))))  # n = 4: 2, 2, 4
 
 
@@ -152,19 +136,25 @@ def stable_dt(
     Diffusion coefficient ``D(u) = ((n-2)/4) c_n u^(1-N)`` caps the step at
     ``cfl * (sum_i 2/h_i^2)^-1 / max D``; the reaction rate
     ``((n-2)/4)|R_g - f|`` further caps it at half its inverse.  ``ev`` is
-    the state's evaluation when the caller already holds it.
+    the state's evaluation when the caller already holds it.  A cap that is
+    not a positive finite float raises ``ComputationFailure``.
     """
     require_same_grid(bg, u)
     require_positive(u)
     if ev is None:
         ev = _StateEval(bg, u)
     kappa = 0.25 * (bg.n - 2)
-    d_max = kappa * bg.c_n * ev.min_u ** (1.0 - bg.big_n)
     inv_h2 = sum(2.0 / (h * h) for h in bg.grid.spacings)
-    dt = cfl_fraction / (inv_h2 * d_max)
+    try:  # the Python float pow raises on overflow; on underflow d_max is 0
+        d_max = kappa * bg.c_n * ev.min_u ** (1.0 - bg.big_n)
+        dt = cfl_fraction / (inv_h2 * d_max)
+    except (OverflowError, ZeroDivisionError):
+        dt = math.nan
     rate = kappa * ev.residual_sup
     if rate > 0.0:
         dt = min(dt, 0.5 / rate)
+    if not 0.0 < dt < math.inf:
+        raise ComputationFailure(f"no stable dt at min u = {ev.min_u:g}: the cap is {dt:g}")
     return dt
 
 
@@ -211,6 +201,8 @@ def _make_record(
 ) -> DiagnosticsRecord:
     vol = bg.grid.cell_volume
     abs_resid = np.abs(ev.resid)
+    # The ladder starts at 2, whose moment the state already holds: ev.sq.
+    residual_lp = {2.0: ev.sq} | {p: _fsum(abs_resid**p * ev.weight) * vol for p in orders[1:]}
     return DiagnosticsRecord(
         t=state.t,
         dt=state.dt_last,
@@ -219,7 +211,7 @@ def _make_record(
         max_u=ev.max_u,
         volume_g=_fsum(ev.weight) * vol,
         residual_sup=ev.residual_sup,
-        residual_lp={p: _fsum(abs_resid**p * ev.weight) * vol for p in orders},
+        residual_lp=residual_lp,
         dissipation_cum=carry.dissipation_cum,
     )
 

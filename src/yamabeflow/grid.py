@@ -11,7 +11,8 @@ float bit for bit; inputs outside that scheme's range go to :func:`math.fsum`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class GridSpec:
     n: int
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
+    # Derived once from sizes and lengths, so they take no part in equality, hash or repr.
+    spacings: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -47,10 +51,17 @@ class GridSpec:
             raise ValueError(f"all sizes must be >= 4, got {self.sizes}")
         if not all(0.0 < L < np.inf for L in self.lengths):
             raise ValueError(f"all lengths must be positive and finite, got {self.lengths}")
-
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(L / s for L, s in zip(self.lengths, self.sizes))
+        spacings = tuple(L / s for L, s in zip(self.lengths, self.sizes))
+        # The stencils divide by h*h and the integrals multiply by the cell volume, so
+        # h*h must be a normal float (then 2/h^2 is finite too) and the volume must
+        # neither underflow to 0 nor overflow.
+        if not all(sys.float_info.min <= h * h < math.inf for h in spacings):
+            raise ValueError(f"every h*h must be a normal float, got spacings {spacings}")
+        cell_volume = math.prod(spacings)
+        if not 0.0 < cell_volume < math.inf:
+            raise ValueError(f"the cell volume must be positive and finite, got {cell_volume}")
+        object.__setattr__(self, "spacings", spacings)
+        object.__setattr__(self, "cell_volume", cell_volume)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,10 +70,6 @@ class GridSpec:
     @property
     def num_points(self) -> int:
         return int(np.prod(self.sizes))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         h = self.spacings[axis]

@@ -134,7 +134,7 @@ def _get(kv: dict, key: str, default=None, required: bool = False, conv=float):
 # The ``flow.*`` keys with their converters; FlowConfig alone states the defaults.
 _FLOW_KEYS = dict(
     cfl_fraction=float, t_max=float, residual_stop=float, blowup_ceiling=float,
-    record_every=int, lp_orders=lambda text: tuple(_floats(text)), fixed_dt=float,
+    record_every=int, fixed_dt=float,
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import yamabeflow as yf
 from yamabeflow import hypotheses, snapshots, spectral
-from yamabeflow.cli import CSV_NAME, FINAL_U, SUMMARY_NAME, main
+from yamabeflow.cli import CSV_NAME, FINAL_U, SUMMARY_NAME, _csv_header, main
 from yamabeflow.scenario import parse_kv
 
 from conftest import slab_background, unit_grid
@@ -61,6 +61,16 @@ def constant_scn(tmp_path):
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize(
+        "n, lp_columns",
+        [(3, "residual_l2,residual_l1.5,residual_l4.5"), (4, "residual_l2,residual_l4")],
+    )
+    def test_default_header(self, n, lp_columns):
+        """The Lp columns are the ladder 2, n/2, n^2/(2(n-2)); at n = 4 the two 2s are one."""
+        assert _csv_header(yf.FlowConfig().resolve_orders(n)) == (
+            f"t,dt,energy,min_u,max_u,volume_g,residual_sup,{lp_columns},dissipation_cum"
+        )
+
     def test_writes_outputs(self, tmp_path, constant_scn, capsys):
         out = tmp_path / "out"
         rc = main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "100steps"])
@@ -202,7 +212,7 @@ class TestDeterminism:
         ["grid_mismatch", "no_checkpoint", "no_csv", "short_csv", "stop_passed", "sidecar_t_nan",
          "sidecar_last_record_inf", "sidecar_last_record_past_step", "u_not_positive",
          "records_written_zero", "records_written_past", "record_every_changed",
-         "lp_orders_changed"],
+         "csv_header_changed"],
     )
     def test_resume_refuses_unusable_checkpoint(self, tmp_path, constant_scn, capsys, case):
         out = tmp_path / "out"
@@ -236,9 +246,10 @@ class TestDeterminism:
         elif case == "record_every_changed":  # every 2 steps gives 3 records by step 5, not 1
             scn = tmp_path / "changed.txt"
             scn.write_text(CONSTANT.replace("record_every = 20", "record_every = 2"))
-        elif case == "lp_orders_changed":
-            scn = tmp_path / "changed.txt"
-            scn.write_text(CONSTANT + "flow.lp_orders = 2 3\n")
+        elif case == "csv_header_changed":  # the header names an order off the ladder
+            lines = (out / CSV_NAME).read_text().splitlines(keepends=True)
+            lines[0] = lines[0].replace("residual_l4.5", "residual_l3")
+            (out / CSV_NAME).write_text("".join(lines))
         elif case == "u_not_positive":
             u = snapshots.read_field(out / snapshots.CHECKPOINT_U)
             values = u.values.copy()
@@ -539,14 +550,14 @@ BOUNDARY_CASES = {
     "t_max_nan": "flow.t_max = nan",
     "residual_stop_nan": "flow.residual_stop = nan",
     "blowup_ceiling_nan": "flow.blowup_ceiling = nan",
-    "lp_orders_nan": "flow.lp_orders = 2 nan",
-    "lp_orders_inf": "flow.lp_orders = 2 inf",
-    "flow_lp_orders_empty": "flow.lp_orders =",
     "f_constant_nan": "f.constant = nan",
     "r0_constant_neg_inf": "r0.constant = -inf",
     "noise_amplitude_nan": "u0.noise.amplitude = nan",
     "bump_width_nan": "f.bump.0.amplitude = 0.5\nf.bump.0.center = 0.5 0.5 0.5\nf.bump.0.width = nan",
     "grid_length_nan": "grid.lengths = 1 nan 1",
+    "grid_h2_subnormal": "grid.lengths = 1e-160 1e-160 1e-160",  # 2/h^2 overflows
+    "grid_h2_infinite": "grid.lengths = 1e300 1e300 1e300",
+    "grid_cell_volume_zero": "grid.lengths = 1e-110 1e-110 1e-110",  # h^3 underflows
     "snapshot_missing": "u0.snapshot = missing.yflo",
     "snapshot_truncated": "u0.snapshot = truncated.yflo",
     "snapshot_other_grid": "u0.snapshot = other_grid.yflo",
@@ -557,9 +568,8 @@ BOUNDARY_CASES = {
     "omega_axis_past_n": "omega.type = slab\nomega.axis = 3\nomega.lo = 0.2\nomega.hi = 0.6",
     "omega_lo_nan": "omega.type = slab\nomega.axis = 0\nomega.lo = nan\nomega.hi = 0.6",
     "omega_center_nan": "omega.type = ball\nomega.center = 0.5 nan 0.5\nomega.radius = 0.3",
-    "lp_orders_repeated": "flow.lp_orders = 2 2",
-    "lp_orders_same_column": "flow.lp_orders = 2 2.0000001",
     "flow_key_misspelled": "flow.tmax = 5",
+    "flow_lp_orders": "flow.lp_orders = 2 3",
     "flow_max_steps": "flow.max_steps = 10",
     "supersolution_key_misspelled": "supersolution.dilaton = 3",
     "omega_key_of_another_type": "omega.type = ball\nomega.center = 0.5 0.5 0.5\n"
@@ -570,6 +580,7 @@ BOUNDARY_CASES = {
 # The boundary cases that load at face value but leave a key unread, with that key.
 UNREAD_KEYS = {
     "flow_key_misspelled": "flow.tmax",
+    "flow_lp_orders": "flow.lp_orders",
     "flow_max_steps": "flow.max_steps",
     "supersolution_key_misspelled": "supersolution.dilaton",
     "omega_key_of_another_type": "omega.eps",
@@ -634,14 +645,14 @@ class TestScenarioBoundary:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "resume", "eigen", "check", "supersolution", "verify"])
-    def test_orders_sharing_a_column_exit_2(self, tmp_path, capsys, command):
-        """2 and 2.0000001 both print as ``residual_l2``, so no command accepts them."""
-        bad = write_bad_scenario(tmp_path, BOUNDARY_CASES["lp_orders_same_column"])
+    def test_lp_orders_key_exits_2(self, tmp_path, capsys, command):
+        """The Lp ladder is fixed: no command reads ``flow.lp_orders``, so each names it and exits 2."""
+        bad = write_bad_scenario(tmp_path, BOUNDARY_CASES["flow_lp_orders"])
         out = tmp_path / "out"
         argv = [command, "--scenario", str(bad)] + ([] if command == "check" else ["--out", str(out)])
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and "distinct as CSV column names" in err
+        assert err.startswith("scenario error: unknown or unused keys: flow.lp_orders")
         assert not out.exists()
 
     def test_overflowing_noise_exits_2(self, tmp_path, capsys):
@@ -651,3 +662,13 @@ class TestScenarioBoundary:
             rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "NonFiniteFieldError" in capsys.readouterr().err
+
+    def test_step_cap_overflow_fails_run(self, tmp_path, capsys):
+        """At u ~ 1e-100, u^(1-N) in the diffusion cap overflows: a failed run, not a traceback."""
+        bad = write_bad_scenario(tmp_path, "u0.constant = 1e-100\nu0.noise.amplitude = 1e-102")
+        out = tmp_path / "out"
+        # numpy warns first, of u^-N overflowing in the curvature and of the nan that follows.
+        with pytest.warns(RuntimeWarning):
+            rc = main(["run", "--scenario", str(bad), "--out", str(out), "--until", "3steps"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("FAIL run: no stable dt at min u = ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +172,15 @@ class TestEnvelopeCheck:
         report = yf.envelope_check(bg, traj)
         assert report.lower_bound == pytest.approx(min((2.0 / 0.5) ** 0.25, 1.0), rel=1e-12)
         assert report.upper_rate == pytest.approx(0.25 * (2.0 + 0.5), rel=1e-12)
+
+    def test_zero_f_bounds_only_positivity(self, grid8):
+        """With f == 0 there is no C0, so the lower barrier is bare positivity."""
+        bg = constant_background(grid8, r0=-1.0, f=0.0)
+        records = make_records([0.0, 0.1])
+        records[1] = dataclasses.replace(records[1], min_u=1e-3)
+        report = yf.envelope_check(bg, make_traj(records))
+        assert report.lower_bound == 0.0
+        assert report.passed
 
     def test_detects_fabricated_violation(self, grid8):
         bg = constant_background(grid8, r0=-1.0, f=-1.0)

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import solve_ivp
 import yamabeflow as yf
 from yamabeflow import flow as flowmod
 from yamabeflow.cli import _csv_row
-from yamabeflow.errors import GridMismatchError, PositivityCollapseError
+from yamabeflow.errors import ComputationFailure, GridMismatchError, PositivityCollapseError
 from yamabeflow.flow import FlowState, RunCarry
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import _curvature_values
@@ -60,6 +61,13 @@ class TestStableDt:
         bg = constant_background(grid8, r0=-1.0, f=-1.0)
         u = yf.ScalarField.constant(grid8, 1.0)
         assert yf.stable_dt(bg, u, 0.5) == pytest.approx(0.5 * yf.stable_dt(bg, u, 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("min_u", [1e-100, 1e300], ids=["pow_overflows", "pow_underflows"])
+    def test_cap_without_a_finite_value_fails(self, bg8, min_u):
+        """min u^(1-N) overflows as a Python float, or underflows to a zero diffusion."""
+        ev = SimpleNamespace(min_u=min_u, residual_sup=0.0)
+        with pytest.raises(ComputationFailure, match="no stable dt"):
+            yf.stable_dt(bg8, yf.ScalarField.constant(bg8.grid, 1.0), 0.8, ev)
 
 
 class TestStep:
@@ -314,12 +322,6 @@ class TestResumeCarry:
             yf.FlowConfig(record_every=0)
         with pytest.raises(ValueError):
             yf.FlowConfig(fixed_dt=-1.0)
-        with pytest.raises(ValueError):
-            yf.FlowConfig(lp_orders=(0.5,))
-        with pytest.raises(ValueError, match="non-empty"):
-            yf.FlowConfig(lp_orders=())  # no Lp columns, and a vacuous decay check
-        with pytest.raises(ValueError, match="CSV column names"):
-            yf.FlowConfig(lp_orders=(2.0, 2.0000001))  # both print as residual_l2
 
     @pytest.mark.parametrize(
         "field, value",
@@ -327,10 +329,8 @@ class TestResumeCarry:
             ("t_max", float("nan")),
             ("residual_stop", float("nan")),
             ("blowup_ceiling", float("nan")),
-            ("lp_orders", (2.0, float("nan"))),
             ("fixed_dt", float("nan")),
             ("fixed_dt", float("inf")),
-            ("lp_orders", (2.0, float("inf"))),
         ],
     )
     def test_config_rejects_nan_and_infinite_dt(self, field, value):
@@ -339,7 +339,6 @@ class TestResumeCarry:
 
     def test_default_lp_orders(self):
         assert yf.FlowConfig().resolve_orders(3) == (2.0, 1.5, 4.5)
-        assert yf.FlowConfig(lp_orders=(2.0, 3.0)).resolve_orders(3) == (2.0, 3.0)
 
     def test_default_lp_orders_distinct_in_4d(self):
         """At n = 4 the orders 2 and n/2 coincide; the ladder keeps one of them."""

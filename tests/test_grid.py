@@ -45,6 +45,23 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             yf.GridSpec(3, (8, 8, 8), (1.0, length, 1.0))
 
+    @pytest.mark.parametrize(
+        "length, message",
+        [(1e-160, "normal float"), (1e300, "normal float"), (1e-110, "cell volume")],
+        ids=["h2_subnormal", "h2_infinite", "cell_volume_underflows"],
+    )
+    def test_geometry_the_stencils_cannot_represent(self, length, message):
+        """h*h subnormal (2/h^2 overflows) or infinite, or h^3 underflowing to 0."""
+        with pytest.raises(ValueError, match=message):
+            yf.GridSpec(3, (6, 6, 6), (length,) * 3)
+
+    def test_derived_geometry_takes_no_part_in_identity(self):
+        a = yf.GridSpec(3, (8, 8, 8), (1, 1, 1))
+        b = yf.GridSpec(3, [8, 8, 8], [1.0, 1.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "GridSpec(n=3, sizes=(8, 8, 8), lengths=(1.0, 1.0, 1.0))"
+        assert a.spacings == (0.125,) * 3 and a.cell_volume == 0.125**3
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             yf.GridSpec(3, (8, 8), (1.0, 1.0, 1.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import textwrap
 from pathlib import Path
@@ -98,18 +99,25 @@ class TestLoadScenario:
     def test_flow_overrides(self, tmp_path):
         text = BASE + (
             "flow.t_max = 2.5\nflow.cfl_fraction = 0.5\nflow.record_every = 3\n"
-            "flow.lp_orders = 2 4\nflow.residual_stop = 1e-8\n"
+            "flow.residual_stop = 1e-8\n"
         )
         scn = yf.load_scenario(write_scenario(tmp_path, text))
         assert scn.flow.t_max == 2.5
         assert scn.flow.cfl_fraction == 0.5
         assert scn.flow.record_every == 3
-        assert scn.flow.lp_orders == (2.0, 4.0)
         assert scn.flow.residual_stop == 1e-8
 
     def test_flow_defaults_are_flow_configs(self, tmp_path):
         """With no ``flow.*`` key the scenario's flow is ``FlowConfig()`` exactly."""
         assert yf.load_scenario(write_scenario(tmp_path, BASE)).flow == yf.FlowConfig()
+
+    def test_flow_keys_are_flow_config_fields(self):
+        """Each ``flow.*`` key names a FlowConfig field; only max_steps, set by ``--until``, has none.
+
+        A key without a field would end in a TypeError that no error boundary catches.
+        """
+        fields = {f.name for f in dataclasses.fields(yf.FlowConfig)}
+        assert set(scenario._FLOW_KEYS) == fields - {"max_steps"}
 
     def test_blend_defaults_are_the_librarys(self, tmp_path):
         """With no ``supersolution.*`` key the scenario passes the defaults of ``hypotheses``."""
@@ -220,7 +228,6 @@ flow.t_max = 1.0
 flow.residual_stop = 1e-8
 flow.blowup_ceiling = 1e6
 flow.record_every = 5
-flow.lp_orders = 2 3
 flow.fixed_dt = 1e-4
 omega.type = ball
 omega.center = 0.5 0.5 0.5

@@ -168,6 +168,13 @@ class TestStructure:
         with pytest.raises(EigenConvergenceError, match="inner CG"):
             yf.dirichlet_eigen(bg8, ball_mask(bg8.grid, (0.5, 0.5, 0.5), 0.3))
 
+    def test_unreachable_tol_raises_after_max_iterations(self, bg8):
+        """No residual reaches 1e-300: the outer loop runs out, naming its best residual."""
+        mask = ball_mask(bg8.grid, (0.5, 0.5, 0.5), 0.3)
+        assert mask.count == 57
+        with pytest.raises(EigenConvergenceError, match="no convergence after 500 iterations"):
+            yf.dirichlet_eigen(bg8, mask, tol=1e-300)
+
 
 class TestSlabAnalytic:
     def test_discrete_closed_form(self):
