@@ -103,22 +103,30 @@ class _StateEval:
     """Everything the step loop reads from one state, from one ``R_g - f``.
 
     The forward differences of ``u`` feed both the energy and the curvature,
-    and the energy takes the weight ``u^(N+1)``.
+    and the energy takes the weight ``u^(N+1)``.  A state whose weight or
+    curvature overflows has a non-finite energy, ``residual_sup`` or ``sq``,
+    and raises ``ComputationFailure`` instead of a numpy warning.
     """
 
     __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
 
     def __init__(self, bg: Background, u: ScalarField):
         uv = u.values
-        self.weight = uv ** (bg.big_n + 1.0)
-        diffs = [_periodic_diff(uv, axis) for axis in range(uv.ndim)]
-        self.energy = energy(bg, u, diffs, self.weight)
-        self.resid, self.velocity = _residual_velocity(bg, uv, diffs)
-        del diffs  # before the exact sum below, so that the state's peak memory does not grow
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.weight = uv ** (bg.big_n + 1.0)
+            diffs = [_periodic_diff(uv, axis) for axis in range(uv.ndim)]
+            self.energy = energy(bg, u, diffs, self.weight)
+            self.resid, self.velocity = _residual_velocity(bg, uv, diffs)
+            del diffs  # before the exact sum below, so that the state's peak memory does not grow
+            self.residual_sup = float(np.abs(self.resid).max())
+            self.sq = _fsum(self.resid * self.resid * self.weight) * bg.grid.cell_volume
         self.min_u = float(uv.min())
         self.max_u = float(uv.max())
-        self.residual_sup = float(np.abs(self.resid).max())
-        self.sq = _fsum(self.resid * self.resid * self.weight) * bg.grid.cell_volume
+        if not all(map(math.isfinite, (self.energy, self.residual_sup, self.sq))):
+            raise ComputationFailure(
+                f"non-finite state at min u = {self.min_u:g}, max u = {self.max_u:g}: energy "
+                f"{self.energy:g}, residual_sup {self.residual_sup:g}, L2 moment {self.sq:g}"
+            )
 
 
 def velocity(bg: Background, u: ScalarField) -> ScalarField:

@@ -177,7 +177,8 @@ def _fsum(values: np.ndarray) -> float:
     # once to nearest-even by float(int) or int / int.  math.fsum itself takes
     # an empty or non-finite input, more than 2**26 values, size * max|v| >=
     # 2**1022 (where it may raise its intermediate OverflowError) and an exact
-    # zero, whose sign it decides.
+    # zero, whose sign it decides.  +inf beside -inf sums to NaN, as in IEEE
+    # addition, where math.fsum raises.
     v = np.asarray(values, dtype=np.float64).ravel(order="C")
     if 0 < v.size <= 1 << 26 and max(-v.min(), v.max()) < 2.0**1022 / v.size:
         t, e = np.frexp(v)
@@ -193,7 +194,10 @@ def _fsum(values: np.ndarray) -> float:
         if total:
             shift = e_min - 53
             return float(total << shift) if shift >= 0 else total / (1 << -shift)
-    return math.fsum(v.tolist())
+    try:
+        return math.fsum(v.tolist())
+    except ValueError:  # "-inf + inf in fsum"
+        return math.nan
 
 
 def integrate(w: ScalarField) -> float:

@@ -60,3 +60,17 @@ def slab_background(f_omega):
     omega = yf.SubdomainMask(grid, (x > 12.0) & (x < 19.0))
     f = yf.ScalarField(grid, np.where(omega.inside, f_omega, -1.0))
     return yf.Background(grid, yf.ScalarField.constant(grid, -1.0), f), omega
+
+
+def two_bump_background():
+    """Two 7-point components of Omega whose eigenvalues, 1816.008 and 1816.851, nearly meet.
+
+    8^3 unit grid; R0 = -1 with a -1 bump of width 0.15 at (0.75, 0.5, 0.5),
+    f = -1 with 0.9 bumps of width 0.15 at (0.25, 0.5, 0.5) and (0.75, 0.5, 0.5),
+    and Omega = {f > -0.5}.
+    """
+    grid = unit_grid(8)
+    r0 = -1.0 - periodic_gaussian(grid, (0.75, 0.5, 0.5), 0.15)
+    f = -1.0 + sum(periodic_gaussian(grid, (x, 0.5, 0.5), 0.15, 0.9) for x in (0.25, 0.75))
+    bg = yf.Background(grid, yf.ScalarField(grid, r0), yf.ScalarField(grid, f))
+    return bg, yf.superlevel_mask(bg, 0.5)

@@ -285,6 +285,48 @@ class TestEigenCommand:
         assert "argument --tol" in capsys.readouterr().err
 
 
+# conftest.two_bump_background as a scenario: two components of Omega, eigenvalues 1816.008 and 1816.851.
+TWO_BUMP = """
+grid.n = 3
+grid.sizes = 8 8 8
+grid.lengths = 1 1 1
+r0.constant = -1.0
+r0.bump.0.amplitude = -1.0
+r0.bump.0.center = 0.75 0.5 0.5
+r0.bump.0.width = 0.15
+f.constant = -1.0
+f.bump.0.amplitude = 0.9
+f.bump.0.center = 0.25 0.5 0.5
+f.bump.0.width = 0.15
+f.bump.1.amplitude = 0.9
+f.bump.1.center = 0.75 0.5 0.5
+f.bump.1.width = 0.15
+u0.constant = 1.0
+omega.type = superlevel
+omega.eps = 0.5
+"""
+
+
+class TestTwoBumpOmega:
+    """Nearly equal eigenvalues on two components: both commands converge and exit 0."""
+
+    @pytest.fixture
+    def two_bump_scn(self, tmp_path):
+        path = tmp_path / "two_bump.txt"
+        path.write_text(TWO_BUMP)
+        return path
+
+    def test_eigen(self, two_bump_scn, capsys):
+        assert main(["eigen", "--scenario", str(two_bump_scn)]) == 0
+        printed = dict(l.split(" = ") for l in capsys.readouterr().out.strip().splitlines())
+        assert float(printed["lambda"]) == pytest.approx(1816.00791898, rel=1e-10)
+
+    def test_check(self, two_bump_scn, capsys):
+        assert main(["check", "--scenario", str(two_bump_scn)]) == 0
+        out = capsys.readouterr().out
+        assert "h1 = PASS" in out and "h2 = PASS" in out
+
+
 class TestCheckCommand:
     def test_trapped_passes(self, trapped_scn, capsys):
         rc = main(["check", "--scenario", str(trapped_scn)])
@@ -663,12 +705,23 @@ class TestScenarioBoundary:
         assert rc == 2
         assert "NonFiniteFieldError" in capsys.readouterr().err
 
-    def test_step_cap_overflow_fails_run(self, tmp_path, capsys):
-        """At u ~ 1e-100, u^(1-N) in the diffusion cap overflows: a failed run, not a traceback."""
-        bad = write_bad_scenario(tmp_path, "u0.constant = 1e-100\nu0.noise.amplitude = 1e-102")
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "u0.constant = 1e-100\nu0.noise.amplitude = 1e-102",
+            "u0.constant = 1e80\nu0.noise.amplitude = 1e78\nflow.blowup_ceiling = 1e300",
+            "u0.constant = 1e80\nu0.noise.amplitude = 1e78\nflow.blowup_ceiling = 1e300\n"
+            "f.bump.0.amplitude = 2.0\nf.bump.0.center = 0.5 0.5 0.5\nf.bump.0.width = 0.2",
+        ],
+        ids=["curvature_overflows", "weight_overflows", "energy_inf_minus_inf"],
+    )
+    def test_non_finite_state_fails_run(self, tmp_path, capsys, lines):
+        """u^-N in the curvature or the weight u^(N+1) overflows at step 0: a failed run.
+
+        No numpy warning (pytest makes one an error) and no record: the CSV keeps its header only.
+        """
+        bad = write_bad_scenario(tmp_path, lines)
         out = tmp_path / "out"
-        # numpy warns first, of u^-N overflowing in the curvature and of the nan that follows.
-        with pytest.warns(RuntimeWarning):
-            rc = main(["run", "--scenario", str(bad), "--out", str(out), "--until", "3steps"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("FAIL run: no stable dt at min u = ")
+        assert main(["run", "--scenario", str(bad), "--out", str(out), "--until", "3steps"]) == 1
+        assert capsys.readouterr().err.startswith("FAIL run: non-finite state at min u = ")
+        assert (out / CSV_NAME).read_text().splitlines() == [_csv_header((2.0, 1.5, 4.5))]

@@ -343,6 +343,10 @@ class TestExactSum:
     def test_non_finite(self, bad):
         assert_same_bits(np.array([1.0, bad, 2.0]))
 
+    def test_opposite_infinities_sum_to_nan(self):
+        """math.fsum raises on +inf beside -inf; the IEEE sum is NaN."""
+        assert math.isnan(_fsum(np.array([1.0, math.inf, -math.inf])))
+
     def test_intermediate_overflow_raises_like_math_fsum(self):
         with pytest.raises(OverflowError):
             _fsum(np.array([1e308, 1e308, -1e308]))

@@ -9,7 +9,7 @@ from yamabeflow import spectral
 from yamabeflow.errors import EigenConvergenceError
 from yamabeflow.grid import SubdomainMask
 
-from conftest import constant_background, unit_grid
+from conftest import constant_background, slab_background, two_bump_background, unit_grid
 
 
 def dense_masked_operator(bg, mask):
@@ -174,6 +174,47 @@ class TestStructure:
         assert mask.count == 57
         with pytest.raises(EigenConvergenceError, match="no convergence after 500 iterations"):
             yf.dirichlet_eigen(bg8, mask, tol=1e-300)
+
+
+def ball_57():
+    bg = constant_background(unit_grid(8))
+    return bg, ball_mask(bg.grid, (0.5, 0.5, 0.5), 0.3)
+
+
+class TestNodaShift:
+    """Each solve is shifted up to just below lambda_1, never across it."""
+
+    @pytest.mark.parametrize(
+        "case", [ball_57, two_bump_background, lambda: slab_background(-0.5)],
+        ids=["ball_57", "two_bump", "slab_384"],
+    )
+    def test_every_solved_operator_is_positive_definite(self, case, monkeypatch):
+        bg, mask = case()
+        solved, cg = [], spectral.cg
+
+        def recording_cg(op, b, **kwargs):
+            solved.append(op.toarray())
+            return cg(op, b, **kwargs)
+
+        monkeypatch.setattr(spectral, "cg", recording_cg)
+        result = yf.dirichlet_eigen(bg, mask)
+        assert len(solved) == result.iterations
+        for op in solved:
+            assert np.linalg.eigvalsh(op).min() > 0.0
+
+    def test_ball_converges_in_few_iterations(self):
+        # At the fixed shift min R0 - 1 this ball takes 17 outer iterations.
+        bg, mask = ball_57()
+        assert mask.count == 57
+        assert yf.dirichlet_eigen(bg, mask).iterations <= 8
+
+    def test_two_bump_omega_converges(self):
+        """Two components 5e-4 apart in eigenvalue ratio: the fixed shift stalled at 500 iterations."""
+        bg, mask = two_bump_background()
+        assert mask.count == 14
+        lam_ref = np.linalg.eigvalsh(dense_masked_operator(bg, mask)[0]).min()
+        assert lam_ref == pytest.approx(1816.00791898, rel=1e-10)
+        assert yf.dirichlet_eigen(bg, mask).lam == pytest.approx(lam_ref, rel=1e-10)
 
 
 class TestSlabAnalytic:
