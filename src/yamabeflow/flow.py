@@ -282,8 +282,8 @@ def run(
             dt = cfg.fixed_dt
         else:
             dt = stable_dt(bg, state.u, cfg.cfl_fraction, ev)
-            if state.t + dt > cfg.t_max:
-                dt = cfg.t_max - state.t
+        if state.t + dt > cfg.t_max:
+            dt = cfg.t_max - state.t
         new_state = step(bg, state, dt, ev)
         new_ev = _StateEval(bg, new_state.u)
         carry.dissipation_cum += 0.5 * (new_state.t - state.t) * (ev.sq + new_ev.sq)

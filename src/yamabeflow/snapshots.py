@@ -9,6 +9,18 @@ A checkpoint is a pair of files in a run's output directory:
 sidecar with the scalar loop state of ``FlowState`` and ``RunCarry`` in the
 same numeric encoding.  This module is the only place that knows the two
 names, the sidecar layout and which fields go in it.
+
+Every write rewrites an existing file in place and then truncates it to the
+new image, which leaves the bytes of a fresh write without making the file
+system free and reallocate the file.  ``write_checkpoint`` writes in three
+steps: it zeroes the sidecar, rewrites the field, then writes the real
+sidecar.  A zeroed sidecar fails its header check.  So a checkpoint stopped
+before the first step leaves the old pair, one stopped after it and before
+the last step ends leaves a pair that ``read_checkpoint`` refuses with
+``ValueError`` (and ``resume`` with exit 2), and a finished one the new pair.
+A lone field stopped mid-rewrite may keep old bytes at its full length,
+which ``read_field`` cannot tell from a whole file.  Nothing is fsynced, so a
+power loss is not covered.
 """
 
 from __future__ import annotations
@@ -33,13 +45,27 @@ __all__ = [
 ]
 
 
+def _rewrite(path, *chunks: bytes) -> None:
+    """Make ``chunks`` the whole content of ``path``, overwriting an existing file in place."""
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        fh = open(path, "wb")
+    with fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.truncate()
+
+
 def write_field(path, field: ScalarField) -> None:
     grid = field.grid
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", MAGIC, VERSION, grid.n))
-        fh.write(struct.pack(f"<{grid.n}I", *grid.sizes))
-        fh.write(struct.pack(f"<{grid.n}d", *grid.lengths))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes(order="C"))
+    _rewrite(
+        path,
+        struct.pack("<4sII", MAGIC, VERSION, grid.n),
+        struct.pack(f"<{grid.n}I", *grid.sizes),
+        struct.pack(f"<{grid.n}d", *grid.lengths),
+        np.ascontiguousarray(field.values, dtype="<f8").tobytes(order="C"),
+    )
 
 
 def _check_header(path, magic: bytes, version: int) -> None:
@@ -75,7 +101,7 @@ def write_sidecar(path, state: FlowState, carry: RunCarry) -> None:
         MAGIC, VERSION, state.step, carry.records_written, float(carry.last_record_step),
         state.t, state.dt_last, carry.dissipation_cum,
     )
-    Path(path).write_bytes(raw)
+    _rewrite(path, raw)
 
 
 def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
@@ -97,6 +123,7 @@ def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
 def write_checkpoint(out, state: FlowState, carry: RunCarry) -> None:
     """Write the checkpoint pair for ``state`` and ``carry`` into directory ``out``."""
     out = Path(out)
+    _rewrite(out / CHECKPOINT_STATE, bytes(_SIDECAR.size))  # refused until rewritten last
     write_field(out / CHECKPOINT_U, state.u)
     write_sidecar(out / CHECKPOINT_STATE, state, carry)
 

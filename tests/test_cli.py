@@ -133,7 +133,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command", ["run", "resume"])
     def test_positivity_collapse_exits_1(self, tmp_path, capsys, command):
-        """A fixed dt far past stability collapses u at the first step: FAIL, not a traceback."""
+        """A fixed dt far past stability collapses u at the first step: FAIL, not a traceback.
+
+        The step is clipped to the stop at t_max, so t_max sits as far out as the step.
+        """
         text = CONSTANT.replace("8 8 8", "6 6 6") + (
             "u0.bump.0.amplitude = 0.5\nu0.bump.0.center = 0.5 0.5 0.5\nu0.bump.0.width = 0.2\n"
         )
@@ -142,7 +145,7 @@ class TestRunCommand:
         if command == "resume":
             main(["run", "--scenario", str(scn), "--out", str(out),
                   "--until", "2steps", "--checkpoint-every", "1"])
-        scn.write_text(text + "flow.fixed_dt = 1e30\n")
+        scn.write_text(text + "flow.fixed_dt = 1e30\nflow.t_max = 1e30\n")
         capsys.readouterr()
         rc = main([command, "--scenario", str(scn), "--out", str(out), "--until", "4steps"])
         assert rc == 1
@@ -206,6 +209,32 @@ class TestDeterminism:
         assert not (out / snapshots.CHECKPOINT_U).exists()
         assert not (out / snapshots.CHECKPOINT_STATE).exists()
         assert main(["resume", "--scenario", str(b), "--out", str(out), "--until", "80steps"]) == 2
+
+    def test_resume_refuses_an_interrupted_checkpoint(self, tmp_path, constant_scn, capsys,
+                                                      monkeypatch):
+        """A resume stopped between a checkpoint's field and its sidecar leaves a pair that
+        the next resume refuses, not a field of one step under the sidecar of the step before."""
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(constant_scn), "--out", str(out),
+              "--until", "10steps", "--checkpoint-every", "1"])
+        write_sidecar, calls = snapshots.write_sidecar, []
+
+        def interrupted_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            write_sidecar(*args)
+
+        monkeypatch.setattr(snapshots, "write_sidecar", interrupted_second)
+        with pytest.raises(KeyboardInterrupt):
+            main(["resume", "--scenario", str(constant_scn), "--out", str(out),
+                  "--until", "20steps", "--checkpoint-every", "1"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        rc = main(["resume", "--scenario", str(constant_scn), "--out", str(out),
+                   "--until", "20steps", "--checkpoint-every", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("scenario error: cannot resume")
 
     @pytest.mark.parametrize(
         "case",

@@ -148,6 +148,15 @@ class TestRunOutcomes:
         assert traj.outcome == "timeout"
         assert traj.final.t == pytest.approx(0.01, abs=1e-12)
 
+    def test_fixed_dt_clipped_to_t_max(self):
+        """The last fixed step is cut short at t_max, as the adaptive one is."""
+        grid = unit_grid(4)
+        cfg = yf.FlowConfig(fixed_dt=0.3, t_max=1.0)
+        traj = yf.run(constant_background(grid), yf.ScalarField.constant(grid, 1.2), cfg)
+        assert traj.outcome == "timeout"
+        assert traj.final.step == 4
+        assert traj.final.t == 1.0
+
     def test_timeout_by_steps(self, grid8):
         bg = constant_background(grid8, r0=-2.0, f=-1.0)
         cfg = yf.FlowConfig(t_max=10.0, max_steps=7, record_every=100)

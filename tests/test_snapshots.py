@@ -145,3 +145,62 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, grid8):
     assert back_state.u.values.tobytes() == u.values.tobytes()
     assert (back_state.t, back_state.step, back_state.dt_last) == (0.3, 40, 2.5e-4)
     assert back_carry == carry
+
+
+def _writers(grid):
+    """The field and sidecar writers, each writing one fixed image on ``grid`` to a path."""
+    u = yf.ScalarField(grid, 1.0 + np.random.default_rng(2).random(grid.shape))
+    state = yf.FlowState(u, 0.725, 7, 1.25e-4)
+    return {
+        "field": lambda path: snapshots.write_field(path, u),
+        "sidecar": lambda path: snapshots.write_sidecar(path, state, RunCarry(3.5e-2, 2, 5)),
+    }
+
+
+@pytest.mark.parametrize("writer", ["field", "sidecar"])
+@pytest.mark.parametrize("before", ["longer", "shorter", "same_length", "absent"])
+def test_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, grid8, writer, before):
+    write = _writers(grid8)[writer]
+    fresh = tmp_path / "fresh.yflo"
+    write(fresh)
+    expected = fresh.read_bytes()
+    path = tmp_path / "old.yflo"
+    if before != "absent":
+        size = {"longer": 2 * len(expected), "shorter": 5, "same_length": len(expected)}[before]
+        path.write_bytes(b"\xab" * size)
+    write(path)
+    assert path.read_bytes() == expected
+
+
+def test_rewritten_checkpoint_keeps_two_files(tmp_path, grid8):
+    """A checkpoint written over an older one leaves the two names and the newer pair."""
+    rng = np.random.default_rng(3)
+    for step in (10, 20):
+        u = yf.ScalarField(grid8, 1.0 + rng.random(grid8.shape))
+        carry = RunCarry(dissipation_cum=1e-3 * step, records_written=step // 10 + 1,
+                         last_record_step=step)
+        snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.01 * step, step, 1e-3), carry)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        snapshots.CHECKPOINT_STATE,
+        snapshots.CHECKPOINT_U,
+    ]
+    back_state, back_carry = snapshots.read_checkpoint(tmp_path)
+    assert back_state.step == 20 and back_carry == carry
+    assert back_state.u.values.tobytes() == u.values.tobytes()
+
+
+@pytest.mark.parametrize("stop", ["write_field", "write_sidecar"])
+def test_interrupted_checkpoint_reads_as_corrupted(tmp_path, grid8, monkeypatch, stop):
+    """A checkpoint stopped before its sidecar is written leaves no pair that reads."""
+    u = yf.ScalarField.constant(grid8, 1.0)
+    snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.1, 10, 1e-2), RunCarry(1e-3, 2, 10))
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(snapshots, stop, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.2, 20, 1e-2), RunCarry(2e-3, 3, 20))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="bad magic"):
+        snapshots.read_checkpoint(tmp_path)
