@@ -2,10 +2,11 @@
 
 All integrals are midpoint (cell-sum) quadrature with the cell volume
 ``prod(h_i)``.  Reductions are exactly rounded in flat row-major order, so
-they are bitwise reproducible regardless of grouping: :func:`_fsum` sums the
-mantissas per exponent with ``np.bincount`` (a superaccumulator), joins the
-bins into one exact integer and rounds it once, which gives :func:`math.fsum`'s
-float bit for bit; inputs outside that scheme's range go to :func:`math.fsum`.
+they are bitwise reproducible regardless of grouping: :func:`_fsum` gives
+:func:`math.fsum`'s float bit for bit from two numpy sums after an error-free
+extraction (Rump, Ogita and Oishi, 2008), certified by a bound ``err``; exact
+zeros, totals within ``err`` of a rounding boundary and out-of-range inputs go
+to :func:`math.fsum`.
 """
 
 from __future__ import annotations
@@ -170,30 +171,29 @@ def require_same_grid(a, b):
 
 
 def _fsum(values: np.ndarray) -> float:
-    # math.fsum's result, bit for bit.  Each v = t * 2**(e - 27) with |t| < 2**27
-    # and t * 2**26 an integer.  Per exponent e, bincount sums trunc(t), integers
-    # below 2**27 * size, and t - trunc(t), multiples of 2**-26 below size: both
-    # exact in float64 for size <= 2**26.  The bins make one integer, rounded
-    # once to nearest-even by float(int) or int / int.  math.fsum itself takes
-    # an empty or non-finite input, more than 2**26 values, size * max|v| >=
-    # 2**1022 (where it may raise its intermediate OverflowError) and an exact
-    # zero, whose sign it decides.  +inf beside -inf sums to NaN, as in IEEE
-    # addition, where math.fsum raises.
+    # math.fsum's result, bit for bit (Rump, Ogita and Oishi, "Accurate floating-point
+    # summation, part I", SIAM J. Sci. Comput. 31, 2008).  sigma = 2**k > 4 * size * max|v|,
+    # so q = (v + sigma) - sigma lies on the grid 2**(k - 53) and q.sum() is exact in any
+    # order; r = v - q is exact with |r| <= 2**(k - 53), so r.sum() is within err =
+    # size**2 * 2**(k - 105) of its exact sum (below the normal range both are multiples of
+    # 2**-1074, which the rounded err still covers).  Rounding is monotone: if s1 + s2 - err
+    # and s1 + s2 + err round alike, so does the exact total.  math.fsum itself takes an
+    # empty or non-finite input, more than 2**26 values, a sigma that is not a finite normal
+    # float, an exact zero (whose sign it decides) and a total within err of a rounding
+    # boundary.  +inf beside -inf sums to NaN, as in IEEE addition, where math.fsum raises.
     v = np.asarray(values, dtype=np.float64).ravel(order="C")
-    if 0 < v.size <= 1 << 26 and max(-v.min(), v.max()) < 2.0**1022 / v.size:
-        t, e = np.frexp(v)
-        e_min = int(e.min())
-        bins = np.subtract(e, e_min, dtype=np.intp)
-        t *= 2.0**27
-        whole = np.trunc(t)
-        t -= whole
-        sums = zip(np.bincount(bins, weights=whole).tolist(), np.bincount(bins, weights=t).tolist())
-        total = sum(
-            ((int(a) << 26) + int(b * 2.0**26)) << k for k, (a, b) in enumerate(sums) if a or b
-        )
-        if total:
-            shift = e_min - 53
-            return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    m = max(-v.min(), v.max()) if 0 < v.size <= 1 << 26 else math.nan
+    k = math.frexp(m)[1] + v.size.bit_length() + 2 if 0.0 < m < math.inf else 1024
+    if -1022 <= k <= 1023:  # sigma is a finite normal float
+        sigma = math.ldexp(1.0, k)
+        q = v + sigma
+        q -= sigma
+        s1 = float(q.sum())
+        s2 = float(np.subtract(v, q, out=q).sum())
+        err = math.ldexp(v.size**2, k - 105)
+        total = math.fsum((s1, s2, err))
+        if total and total == math.fsum((s1, s2, -err)):
+            return total
     try:
         return math.fsum(v.tolist())
     except ValueError:  # "-inf + inf in fsum"
@@ -210,10 +210,10 @@ def integrate(w: ScalarField) -> float:
 
 
 def lp_norm(w: ScalarField, weight: ScalarField, p: float) -> float:
-    """``(integral of |w|^p * weight dV)^(1/p)`` for ``p >= 1``."""
+    """``(integral of |w|^p * weight dV)^(1/p)`` for finite ``p >= 1``."""
     require_same_grid(w, weight)
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     if weight.values.min() < 0.0:
         flat, multi = _first_bad_index(weight.values < 0.0)
         raise ValueError(f"negative weight at flat index {flat} {multi}")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yamabeflow as yf
+from yamabeflow import flow as flowmod
 from yamabeflow import grid as gridmod
 from yamabeflow.errors import GridMismatchError, NonFiniteFieldError
 from yamabeflow.grid import SubdomainMask, _fsum, chebyshev_distance, require_same_grid
@@ -145,6 +147,13 @@ class TestLpNorm:
         w = yf.ScalarField.constant(grid8, 1.0)
         with pytest.raises(ValueError, match="p must be >= 1"):
             yf.lp_norm(w, w, math.nan)
+
+    def test_rejects_infinite_p(self, grid8):
+        """|w|^inf is inf or 0, so a sup norm would come out as 1.0 or 0.0, never max|w|."""
+        w = yf.ScalarField.constant(grid8, 2.0)
+        one = yf.ScalarField.constant(grid8, 1.0)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            yf.lp_norm(w, one, math.inf)
 
     def test_rejects_negative_weight(self, grid8):
         w = yf.ScalarField.constant(grid8, 1.0)
@@ -353,10 +362,96 @@ class TestExactSum:
 
     def test_flow_moment_24(self):
         # |R_g - f|^4.5 u^6, a residual moment of a 24^3 state after 3 steps.
-        bg = trapped_bump_background(24)
-        u = yf.ScalarField(bg.grid, 1.0 + periodic_gaussian(bg.grid, (0.4, 0.5, 0.6), 0.1, 0.3))
-        state = yf.FlowState(u, 0.0, 0, 0.0)
-        for _ in range(3):
-            state = yf.step(bg, state, yf.stable_dt(bg, state.u, 0.8))
-        resid = yf.scalar_curvature(bg, state.u).values - bg.f.values
-        assert_same_bits(np.abs(resid) ** 4.5 * state.u.values**6)
+        bg, u = flow_state(24)
+        resid = yf.scalar_curvature(bg, u).values - bg.f.values
+        assert_same_bits(np.abs(resid) ** 4.5 * u.values**6)
+
+    @pytest.mark.parametrize("size", [16, 24])
+    def test_flow_moments_take_the_extraction(self, size):
+        """The energy density, (R_g - f)^2 u^6 and |R_g - f|^4.5 u^6 never reach the fallback."""
+        bg, u = flow_state(size)
+        with recorded_fsum_lengths() as lengths:
+            ev = flowmod._StateEval(bg, u)
+            _fsum(np.abs(ev.resid) ** 4.5 * ev.weight)
+        assert len(lengths) == 6 and max(lengths) <= 3
+
+    def test_tie_broken_by_the_remainder(self):
+        """2**53 + 1 is a tie that 4094 * 2**-60 breaks upward, closer than err: the fallback."""
+        a = np.array([2.0**53, 1.0] + [2.0**-60] * 4094)
+        assert _fsum(a) == 2.0**53 + 2.0
+        assert_path(a, fast=False)
+
+    @pytest.mark.parametrize("size", [4096, 13824])
+    def test_exact_zero_total(self, size):
+        rng = np.random.default_rng(size)
+        half = np.ldexp(rng.standard_normal(size // 2), rng.integers(-60, 60, size // 2))
+        a = np.concatenate([half, -half])
+        rng.shuffle(a)
+        assert_path(a, fast=False)
+
+    def test_all_negative_zeros(self):
+        assert_path(np.full(4096, -0.0), fast=False)
+
+    @pytest.mark.parametrize("value", [-3.7, 2.0**-1019, 2.0**1019], ids=["plain", "tiny", "huge"])
+    def test_single_value(self, value):
+        assert_path(np.array([value]), fast=True)
+
+    @pytest.mark.parametrize(
+        "scale, fast",
+        [(2.0**-1054, False), (2.0**-1000, True)],
+        ids=["sigma_subnormal", "err_below_normal"],
+    )
+    def test_tiny_values(self, scale, fast):
+        """4096 values below ``scale``: sigma = 2**k is normal only for the larger; err is not."""
+        rng = np.random.default_rng(5)
+        a = scale * rng.uniform(-1.0, 1.0, 4096)
+        assert_path(a, fast=fast)
+
+    @pytest.mark.parametrize(
+        "top, fast",
+        [(np.nextafter(2.0**1008, 0.0), True), (2.0**1008, False)],
+        ids=["below", "above"],
+    )
+    def test_overflow_guard(self, top, fast):
+        """At 4096 values, k = frexp(max|v|)[1] + 15 reaches 1024 once max|v| = 2**1008."""
+        rng = np.random.default_rng(9)
+        a = top * rng.uniform(-1.0, 1.0, 4096)
+        a[1234] = -top
+        assert_path(a, fast=fast)
+
+
+def flow_state(size):
+    """The trapped bump at ``size**3`` and a bumped u after 3 RK4 steps."""
+    bg = trapped_bump_background(size)
+    u = yf.ScalarField(bg.grid, 1.0 + periodic_gaussian(bg.grid, (0.4, 0.5, 0.6), 0.1, 0.3))
+    state = yf.FlowState(u, 0.0, 0, 0.0)
+    for _ in range(3):
+        state = yf.step(bg, state, yf.stable_dt(bg, state.u, 0.8))
+    return bg, state.u
+
+
+@contextlib.contextmanager
+def recorded_fsum_lengths():
+    """Within the block, the length of each argument that ``math.fsum`` sees."""
+    lengths, fsum = [], math.fsum
+
+    def recorded(xs):
+        lengths.append(len(xs))
+        return fsum(xs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridmod.math, "fsum", recorded)
+        yield lengths
+
+
+def assert_path(a, fast):
+    """``_fsum(a)`` has ``math.fsum``'s bits, and only rounds its two certified sums when ``fast``.
+
+    The extraction hands ``math.fsum`` exactly two 3-tuples; every fallback ends
+    by handing it all ``a.size`` values.
+    """
+    assert a.size != 3
+    with recorded_fsum_lengths() as lengths:
+        _fsum(a)
+    assert (lengths == [3, 3]) == fast, lengths
+    assert_same_bits(a)
