@@ -8,7 +8,6 @@ trapping, residual decay, and blow-up growth rates.
 """
 
 from .diagnostics import (
-    DiagnosticsRecord,
     GrowthFit,
     curvature_evolution_error,
     decay_check,
@@ -18,7 +17,7 @@ from .diagnostics import (
     lemma_p_balance_error,
     weighted_mass,
 )
-from .flow import FlowConfig, FlowState, Trajectory, run, stable_dt, step, velocity
+from .flow import DiagnosticsRecord, FlowConfig, FlowState, Trajectory, run, stable_dt, step, velocity
 from .grid import GridSpec, ScalarField, SubdomainMask, dilate, integrate, lp_norm
 from .hypotheses import (
     HypothesisReport,

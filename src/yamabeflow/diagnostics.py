@@ -1,7 +1,11 @@
 """Quantitative checks of the flow's identities, envelopes, decay and growth.
 
 All operations are pure post-processing over trajectory records or small
-windows of states; nothing here feeds back into the integration.
+windows of states; nothing here feeds back into the integration.  A window's
+states are evaluated by the run's own ``flow._StateEval``, so a window on a
+foreign grid, or with a non-finite state, raises as the run would; the
+gradient term of the moment balance is taken by summation by parts through
+the divergence-form ``Laplacian_g``.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flow import DiagnosticsRecord, _StateEval
 from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
-from .operators import Background, _curvature_values, _laplacian_g_values, _periodic_diff
+from .operators import Background, _laplacian_g_values
 
 __all__ = [
     "DiagnosticsRecord",
@@ -30,21 +35,6 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _TAIL_RISE = 0.05
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One sampled instant of a trajectory."""
-
-    t: float
-    dt: float
-    energy: float
-    min_u: float
-    max_u: float
-    volume_g: float
-    residual_sup: float
-    residual_lp: dict[float, float]
-    dissipation_cum: float
 
 
 @dataclass(frozen=True)
@@ -94,14 +84,14 @@ def dissipation_identity_error(trajectory) -> float:
     return abs(de - 0.5 * (n - 2) * diss) / (abs(de) + _EPS)
 
 
-def _check_window(states) -> float:
+def _check_window(bg: Background, states) -> tuple[float, list[_StateEval]]:
     if len(states) != 3:
         raise ValueError(f"need exactly 3 states, got {len(states)}")
     dt1 = states[1].t - states[0].t
     dt2 = states[2].t - states[1].t
     if dt1 <= 0.0 or abs(dt2 - dt1) > 1e-12 * max(dt1, dt2):
         raise ValueError(f"states must be equally spaced in t, got spacings {dt1}, {dt2}")
-    return dt1
+    return dt1, [_StateEval(bg, s.u) for s in states]
 
 
 def curvature_evolution_error(bg: Background, states) -> float:
@@ -110,11 +100,11 @@ def curvature_evolution_error(bg: Background, states) -> float:
     Central difference of ``R_g`` in time against
     ``(n-1) Lap_g(R_g - f) + R_g (R_g - f)`` at the middle state.
     """
-    dt = _check_window(states)
-    rg = [_curvature_values(bg, s.u.values) for s in states]
-    lhs = (rg[2] - rg[0]) / (2.0 * dt)
-    resid = rg[1] - bg.f.values
-    rhs = (bg.n - 1) * _laplacian_g_values(bg, states[1].u.values, resid) + rg[1] * resid
+    dt, evs = _check_window(bg, states)
+    lhs = (evs[2].resid - evs[0].resid) / (2.0 * dt)  # f does not depend on t
+    resid = evs[1].resid
+    rhs = (bg.n - 1) * _laplacian_g_values(bg, states[1].u.values, resid)
+    rhs += (resid + bg.f.values) * resid
     num = float(np.sqrt(np.mean((lhs - rhs) ** 2)))
     den = float(np.sqrt(np.mean(rhs**2)))
     if den == 0.0:
@@ -122,39 +112,23 @@ def curvature_evolution_error(bg: Background, states) -> float:
     return num / den
 
 
-def _weighted_gradient_sq_integral(bg: Background, w: np.ndarray, uv: np.ndarray) -> float:
-    # int |grad w|^2 u^2 dV with face-averaged u^2 (conformal form of the
-    # metric gradient norm against dV_g).
-    u2 = uv * uv
-    total = 0.0
-    for axis, h in enumerate(bg.grid.spacings):
-        face = 0.5 * _periodic_diff(u2, axis, op=np.add)
-        d = _periodic_diff(w, axis) / h
-        total += _fsum(face * d * d)
-    return total * bg.grid.cell_volume
-
-
 def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
     """Relative defect of the p-th residual-moment balance on a 3-state window.
 
     Checks ``d/dt int |R_g - f|^p dV_g`` against the dissipation/reaction
-    split with the gradient term evaluated through the conformal identity.
+    split, with the gradient term taken by summation by parts.
     ``p < 2`` is rejected when ``|R_g - f|`` nearly vanishes somewhere,
     since ``|x|^(p/2)`` is then too rough for stable quadrature.
     """
-    if not p > 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    dt = _check_window(states)
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must be > 1 and finite, got {p}")
+    dt, evs = _check_window(bg, states)
     n = bg.n
-    evals = [
-        (_curvature_values(bg, s.u.values) - bg.f.values, s.u.values ** (bg.big_n + 1.0))
-        for s in states
-    ]
-    vals = [_fsum(np.abs(resid) ** p * weight) * bg.grid.cell_volume for resid, weight in evals]
+    vol = bg.grid.cell_volume
+    vals = [_fsum(np.abs(ev.resid) ** p * ev.weight) * vol for ev in evs]
     lhs = (vals[2] - vals[0]) / (2.0 * dt)
 
-    uv = states[1].u.values
-    resid, weight = evals[1]
+    resid, weight = evs[1].resid, evs[1].weight
     if p < 2.0:
         scale = float(np.abs(resid).max())
         if scale == 0.0 or float(np.abs(resid).min()) < 1e-8 * scale:
@@ -164,9 +138,11 @@ def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
     # At p = 2 the half-power is |resid| itself; differentiate the signed
     # residual instead, which has the same gradient a.e. but no kink.
     w = resid if p == 2.0 else np.abs(resid) ** (p / 2.0)
-    grad_term = -4.0 * (n - 1) * (p - 1) / p * _weighted_gradient_sq_integral(bg, w, uv)
-    sign_term = (p - 0.5 * n) * _fsum(resid * np.abs(resid) ** p * weight) * bg.grid.cell_volume
-    forcing = p * _fsum(bg.f.values * np.abs(resid) ** p * weight) * bg.grid.cell_volume
+    # int |grad w|^2 u^2 dV = -int w Lap_g(w) dV_g, by summation by parts.
+    grad_sq = -_fsum(w * _laplacian_g_values(bg, states[1].u.values, w) * weight) * vol
+    grad_term = -4.0 * (n - 1) * (p - 1) / p * grad_sq
+    sign_term = (p - 0.5 * n) * _fsum(resid * np.abs(resid) ** p * weight) * vol
+    forcing = p * _fsum(bg.f.values * np.abs(resid) ** p * weight) * vol
     rhs = grad_term + sign_term + forcing
     if rhs == 0.0 and lhs == 0.0:
         return 0.0

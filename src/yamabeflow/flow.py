@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
 from .errors import ComputationFailure, PositivityCollapseError
 from .grid import ScalarField, _fsum, require_same_grid
 from .operators import Background, _curvature_values, _periodic_diff, energy, require_positive
 
 __all__ = [
+    "DiagnosticsRecord",
     "FlowState",
     "FlowConfig",
     "RunCarry",
@@ -32,6 +32,21 @@ __all__ = [
     "step",
     "run",
 ]
+
+
+@dataclass(frozen=True)
+class DiagnosticsRecord:
+    """One sampled instant of a trajectory."""
+
+    t: float
+    dt: float
+    energy: float
+    min_u: float
+    max_u: float
+    volume_g: float
+    residual_sup: float
+    residual_lp: dict[float, float]
+    dissipation_cum: float
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,7 @@ def _residual_velocity(bg: Background, uv: np.ndarray, diffs=None) -> tuple[np.n
 
 
 class _StateEval:
-    """Everything the step loop reads from one state, from one ``R_g - f``.
+    """Everything the step loop and the window checks read from one state, from one ``R_g - f``.
 
     The forward differences of ``u`` feed both the energy and the curvature,
     and the energy takes the weight ``u^(N+1)``.  A state whose weight or

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow import diagnostics
+from yamabeflow import flow
 from yamabeflow.diagnostics import DiagnosticsRecord
+from yamabeflow.errors import ComputationFailure, GridMismatchError
 from yamabeflow.flow import FlowState, Trajectory
 from yamabeflow.grid import SubdomainMask
 
@@ -140,21 +141,59 @@ class TestLemmaBalance:
                 yf.lemma_p_balance_error(bg, states, p=1.5)
         assert yf.lemma_p_balance_error(bg, states, p=2.0) < 0.05
 
-    def test_evaluates_each_state_once(self, grid8, monkeypatch):
+    def test_rejects_infinite_p(self, grid8):
+        bg = trapped_bump_background(8)
+        states = [FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)]
+        for _ in range(2):
+            states.append(yf.step(bg, states[-1], 2.0**-12))
+        with pytest.raises(ValueError, match="p must be > 1 and finite"):
+            yf.lemma_p_balance_error(bg, states, p=math.inf)
+
+
+WINDOW_CHECKS = pytest.mark.parametrize(
+    "check", [yf.curvature_evolution_error, yf.lemma_p_balance_error], ids=["curvature", "lemma"]
+)
+
+
+class TestWindowChecks:
+    @WINDOW_CHECKS
+    def test_evaluates_each_state_once(self, grid8, monkeypatch, check):
         bg = trapped_bump_background(8)
         states = [FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)]
         for _ in range(2):
             states.append(yf.step(bg, states[-1], 1e-4))
         calls = []
-        curvature = diagnostics._curvature_values
+        curvature = flow._curvature_values
 
         def counted_curvature(*args):
             calls.append(1)
             return curvature(*args)
 
-        monkeypatch.setattr(diagnostics, "_curvature_values", counted_curvature)
-        yf.lemma_p_balance_error(bg, states, p=2.0)
+        monkeypatch.setattr(flow, "_curvature_values", counted_curvature)
+        check(bg, states)
         assert len(calls) == 3
+
+    @WINDOW_CHECKS
+    def test_foreign_grid_rejected(self, check):
+        # Same shape as the background's grid, but twice its lengths.
+        foreign = yf.GridSpec(3, (8, 8, 8), (2.0, 2.0, 2.0))
+        states = [
+            FlowState(yf.ScalarField.constant(foreign, 1.0 + 0.1 * i), 0.1 * i, i, 0.1)
+            for i in range(3)
+        ]
+        with pytest.raises(GridMismatchError):
+            check(trapped_bump_background(8), states)
+
+    @WINDOW_CHECKS
+    def test_overflowing_weight_fails(self, grid8, check):
+        # u^(N+1) overflows at u = 1e60, so no moment of these states is finite.
+        bg = trapped_bump_background(8)
+        states = [
+            FlowState(yf.ScalarField.constant(grid8, (i + 1) * 1e60), 0.1 * i, i, 0.1)
+            for i in range(3)
+        ]
+        with pytest.raises(ComputationFailure):
+            check(bg, states)
 
 
 class TestEnvelopeCheck:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow.diagnostics import _weighted_gradient_sq_integral
 from yamabeflow.errors import PositivityError
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import (
@@ -251,11 +250,12 @@ def _reference_weighted_gradient_sq_integral(bg, w, uv):
 
 NON_DYADIC = yf.GridSpec(3, (5, 6, 7), (1.0, 1.3, 0.7))
 FOUR_D = yf.GridSpec(4, (4, 5, 4, 6), (1.0, 1.3, 0.7, 0.9))
-
-
-@pytest.mark.parametrize(
+STENCIL_GRIDS = pytest.mark.parametrize(
     "grid", [NON_DYADIC, FOUR_D, unit_grid(16), unit_grid(24)], ids=["non_dyadic", "four_d", "16", "24"]
 )
+
+
+@STENCIL_GRIDS
 def test_stencils_bitwise_equal_reference_forms(grid):
     # Each stencil takes its differences, face sums and backward fluxes from
     # one flat-array subtraction (or addition) per axis; the reference forms
@@ -269,9 +269,22 @@ def test_stencils_bitwise_equal_reference_forms(grid):
     assert np.array_equal(
         gradient_squared(yf.ScalarField(grid, w)), _reference_gradient_squared(w, grid.spacings)
     )
-    assert _weighted_gradient_sq_integral(bg, w, u) == _reference_weighted_gradient_sq_integral(
-        bg, w, u
-    )
+
+
+@STENCIL_GRIDS
+def test_green_form_equals_face_weighted_gradient_integral(grid):
+    # The moment balance takes int |grad w|^2 u^2 dV as -int w Lap_g(w) dV_g,
+    # i.e. by summation by parts through the divergence form; it must match
+    # the face-averaged sum of squared forward differences to roundoff.
+    rng = np.random.default_rng(13)
+    bg = constant_background(grid)
+    for _ in range(5):
+        w = rng.standard_normal(grid.shape)
+        u = 1.0 + 0.5 * rng.random(grid.shape)
+        weight = u ** (bg.big_n + 1.0)
+        green = -_fsum(w * _laplacian_g_values(bg, u, w) * weight) * grid.cell_volume
+        ref = _reference_weighted_gradient_sq_integral(bg, w, u)
+        assert abs(green - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,111 @@
+"""Alternating parent/change pairs of ``perfbench/run.py --trace 0``.
+
+Usage (from the repository root)::
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload trapped-flow \\
+        --workload certify-ball --seed 23 --pairs 3 --seconds 30 --out BENCH_N.json
+
+The parent revision is extracted with ``git archive <rev> | tar -x`` into a
+temporary directory; the change is this working tree.  Pair ``k`` (from 0)
+runs the parent first when ``k`` is even and the change first when it is
+odd, so a drift of the machine's speed does not favour one side.  Each run's
+last stdout line (the result object) is written, tagged with its workload,
+pair, side and the side that ran first, together with the output digests
+from the line before it and the per-side medians of every metric.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    try:
+        subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise SystemExit(f"git archive {rev} failed with exit code {archive.returncode}")
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``--trace 0`` run in ``tree``: its result object and its output digests."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1]), json.loads(lines[-2])["detail"]["digests"]
+
+
+def medians(runs: list[dict]) -> dict:
+    out: dict = {}
+    for run in runs:
+        side = out.setdefault(run["workload"], {}).setdefault(run["side"], {})
+        for name, metric in run["result"]["metrics"].items():
+            side.setdefault(name, []).append(metric["value"])
+    for sides in out.values():
+        for values in sides.values():
+            for name in values:
+                values[name] = statistics.median(values[name])
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+
+    parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        trees = {"parent": Path(tmp), "change": ROOT}
+        extract(parent_sha, trees["parent"])
+        for workload in args.workload:
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result, digests = bench(trees[side], workload, args.seed, args.seconds)
+                    runs.append({"workload": workload, "pair": pair, "side": side,
+                                 "first": order[0], "result": result, "digests": digests})
+                    print(workload, pair, side, json.dumps(result["metrics"]), file=sys.stderr)
+
+    report = {
+        "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "parent": parent_sha,
+        "change": f"working tree on {git('rev-parse', 'HEAD')}"
+                  + (" with uncommitted changes" if git("status", "--porcelain") else ""),
+        "medians": medians(runs),
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
