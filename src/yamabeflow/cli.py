@@ -17,9 +17,8 @@ from . import diagnostics as diag
 from . import flow as flowmod
 from . import hypotheses as hyp
 from . import snapshots
-from .diagnostics import DiagnosticsRecord
 from .errors import ComputationFailure, ScenarioError
-from .flow import Trajectory
+from .flow import DiagnosticsRecord, Trajectory
 from .operators import stationary_residual
 from .scenario import load_scenario, parse_kv
 from .spectral import dirichlet_eigen

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import DiagnosticsRecord, _StateEval
+from .flow import _StateEval
 from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
 from .operators import Background, _laplacian_g_values
 
 __all__ = [
-    "DiagnosticsRecord",
     "GrowthFit",
     "EnvelopeReport",
     "DecayReport",

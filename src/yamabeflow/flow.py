@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ComputationFailure, PositivityCollapseError
 from .grid import ScalarField, _fsum, require_same_grid
-from .operators import Background, _curvature_values, _periodic_diff, energy, require_positive
+from .operators import Background, _conformal_values, _curvature_values, energy, require_positive
 
 __all__ = [
     "DiagnosticsRecord",
@@ -109,16 +109,16 @@ class Trajectory:
     certificate: object | None = None
 
 
-def _residual_velocity(bg: Background, uv: np.ndarray, diffs=None) -> tuple[np.ndarray, np.ndarray]:
-    resid = _curvature_values(bg, uv, diffs) - bg.f.values
+def _residual_velocity(bg: Background, uv: np.ndarray, conf=None) -> tuple[np.ndarray, np.ndarray]:
+    resid = _curvature_values(bg, uv, conf) - bg.f.values
     return resid, -0.25 * (bg.n - 2) * resid * uv
 
 
 class _StateEval:
     """Everything the step loop and the window checks read from one state, from one ``R_g - f``.
 
-    The forward differences of ``u`` feed both the energy and the curvature,
-    and the energy takes the weight ``u^(N+1)``.  A state whose weight or
+    ``L0 u`` is applied once: the curvature reads it, and so does the energy's
+    Dirichlet form ``u L0 u``, by summation by parts.  A state whose weight or
     curvature overflows has a non-finite energy, ``residual_sup`` or ``sq``,
     and raises ``ComputationFailure`` instead of a numpy warning.
     """
@@ -129,10 +129,10 @@ class _StateEval:
         uv = u.values
         with np.errstate(over="ignore", invalid="ignore"):
             self.weight = uv ** (bg.big_n + 1.0)
-            diffs = [_periodic_diff(uv, axis) for axis in range(uv.ndim)]
-            self.energy = energy(bg, u, diffs, self.weight)
-            self.resid, self.velocity = _residual_velocity(bg, uv, diffs)
-            del diffs  # before the exact sum below, so that the state's peak memory does not grow
+            conf = _conformal_values(bg, uv)
+            self.energy = energy(bg, u, conf, self.weight)
+            self.resid, self.velocity = _residual_velocity(bg, uv, conf)
+            del conf  # before the exact sum below, so that the state's peak memory does not grow
             self.residual_sup = float(np.abs(self.resid).max())
             self.sq = _fsum(self.resid * self.resid * self.weight) * bg.grid.cell_volume
         self.min_u = float(uv.min())

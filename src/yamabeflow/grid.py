@@ -70,7 +70,7 @@ class GridSpec:
 
     @property
     def num_points(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         h = self.spacings[axis]

@@ -7,6 +7,8 @@ structure of ``-c_n * Laplacian + R0`` with ``R0 < 0``.
 All stencils are second-order central differences written as a backward
 divergence of forward differences, so that summation by parts (and hence
 the discrete Green identity and the dissipation identity) holds exactly.
+So the Dirichlet form ``int(c_n |grad w|^2 + R0 w^2)`` is read through the
+conformal Laplacian ``L0`` alone, as ``int(w L0 w)``.
 """
 
 from __future__ import annotations
@@ -90,21 +92,20 @@ def _periodic_diff(v: np.ndarray, axis: int, backward: bool = False, op=np.subtr
     return out
 
 
-def _laplacian_values(v: np.ndarray, spacings, diffs=None) -> np.ndarray:
-    # ``diffs``: the forward differences of ``v``, when the caller holds them.
+def _laplacian_values(v: np.ndarray, spacings) -> np.ndarray:
     out = np.zeros_like(v)
     for axis, h in enumerate(spacings):
-        dp = diffs[axis] if diffs is not None else _periodic_diff(v, axis)
-        out += _periodic_diff(dp, axis, backward=True) / (h * h)
+        out += _periodic_diff(_periodic_diff(v, axis), axis, backward=True) / (h * h)
     return out
 
 
-def _conformal_values(bg: Background, v: np.ndarray, diffs=None) -> np.ndarray:
-    return -bg.c_n * _laplacian_values(v, bg.grid.spacings, diffs) + bg.r0.values * v
+def _conformal_values(bg: Background, v: np.ndarray) -> np.ndarray:
+    return -bg.c_n * _laplacian_values(v, bg.grid.spacings) + bg.r0.values * v
 
 
-def _curvature_values(bg: Background, uv: np.ndarray, diffs=None) -> np.ndarray:
-    return uv ** (-bg.big_n) * _conformal_values(bg, uv, diffs)
+def _curvature_values(bg: Background, uv: np.ndarray, conf=None) -> np.ndarray:
+    # ``conf``: ``L0 u``, when the caller holds it.
+    return uv ** (-bg.big_n) * (conf if conf is not None else _conformal_values(bg, uv))
 
 
 def laplacian(w: ScalarField) -> ScalarField:
@@ -145,36 +146,22 @@ def laplacian_g(bg: Background, u: ScalarField, w: ScalarField) -> ScalarField:
     return ScalarField(w.grid, _laplacian_g_values(bg, u.values, w.values))
 
 
-def gradient_squared(w: ScalarField, diffs=None) -> np.ndarray:
-    """Per-cell sum over axes of squared forward differences.
-
-    ``diffs`` are the forward differences of ``w``, when the caller holds them.
-    """
-    out = np.zeros_like(w.values)
-    for axis, h in enumerate(w.grid.spacings):
-        d = (diffs[axis] if diffs is not None else _periodic_diff(w.values, axis)) / h
-        out += d * d
-    return out
-
-
-def energy(bg: Background, u: ScalarField, diffs=None, weight=None) -> float:
+def energy(bg: Background, u: ScalarField, conf=None, weight=None) -> float:
     """Curvature-prescription energy of the conformal factor ``u``.
 
     ``integral(c_n |grad u|^2 + R0 u^2 - ((n-2)/n) f u^(2n/(n-2)))`` against
-    the background volume element; nonincreasing along the flow.  A caller
-    that holds the forward differences of ``u`` or its weight ``u^(N+1)``
-    passes them as ``diffs`` and ``weight``.
+    the background volume element; nonincreasing along the flow.  Its Dirichlet
+    form is read as ``u L0 u``, by summation by parts.  A caller that holds
+    ``L0 u`` or the weight ``u^(N+1)`` passes them as ``conf`` and ``weight``.
     """
     require_same_grid(bg, u)
     require_positive(u)
     uv = u.values
+    if conf is None:
+        conf = _conformal_values(bg, uv)
     if weight is None:
         weight = uv ** (bg.big_n + 1.0)
-    density = (
-        bg.c_n * gradient_squared(u, diffs)
-        + bg.r0.values * uv * uv
-        - ((bg.n - 2.0) / bg.n) * bg.f.values * weight
-    )
+    density = uv * conf - ((bg.n - 2.0) / bg.n) * bg.f.values * weight
     return _fsum(density) * bg.grid.cell_volume
 
 

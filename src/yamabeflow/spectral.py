@@ -33,7 +33,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import EigenConvergenceError
 from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
-from .operators import Background, _conformal_values, gradient_squared
+from .operators import Background, _conformal_values
 
 __all__ = ["EigenResult", "dirichlet_eigen", "rayleigh_quotient"]
 
@@ -128,9 +128,10 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
 def rayleigh_quotient(bg: Background, w: ScalarField, mask: SubdomainMask) -> float:
     """Quotient ``int(c_n |grad w|^2 + R0 w^2) / int(w^2)`` for ``w`` vanishing outside the mask.
 
-    Uses the forward-difference gradient matched to the stencil, so the
-    quotient of a computed eigenfunction reproduces its eigenvalue up to
-    roundoff, and any admissible ``w`` gives a variational upper bound.
+    The Dirichlet form is read through the stencil as ``int(w L0 w)``, by
+    summation by parts, so the quotient of a computed eigenfunction
+    reproduces its eigenvalue up to roundoff, and any admissible ``w`` gives
+    a variational upper bound.
     """
     require_same_grid(bg, w)
     require_same_grid(bg, mask)
@@ -140,5 +141,4 @@ def rayleigh_quotient(bg: Background, w: ScalarField, mask: SubdomainMask) -> fl
     wsq = _fsum(w.values * w.values)
     if wsq == 0.0:
         raise ValueError("w must not be identically zero")
-    num = _fsum(bg.c_n * gradient_squared(w) + bg.r0.values * w.values * w.values)
-    return num / wsq
+    return _fsum(w.values * _conformal_values(bg, w.values)) / wsq

@@ -1,0 +1,70 @@
+"""The alternating-pairs driver ``tools/bench_pairs.py``, with git and the benchmark stubbed."""
+
+import importlib.util
+import json
+import statistics
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Stub git, the archive extraction and the runs; return the (workload, side) of each run."""
+    calls = []
+
+    def fake_bench(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        calls.append((workload, side))
+        value = float(len(calls)) + (100.0 if side == "change" else 0.0)
+        result = {"metrics": {"wall_rel": {"value": value}, "pass_frac": {"value": 1.0}}}
+        return result, {"final.u.yflo": side}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc123")
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    return calls
+
+
+def _main(tmp_path, pairs):
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD~1", "--workload", "w", "--seed", "23", "--pairs", str(pairs),
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    return json.loads(out.read_text())
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path, stubbed):
+    report = _main(tmp_path, 3)
+    parent, change = ("w", "parent"), ("w", "change")
+    assert stubbed == [parent, change, change, parent, parent, change]
+    runs = report["runs"]
+    assert [(r["pair"], r["side"], r["first"]) for r in runs] == [
+        (0, "parent", "parent"), (0, "change", "parent"),
+        (1, "change", "change"), (1, "parent", "change"),
+        (2, "parent", "parent"), (2, "change", "parent"),
+    ]
+    assert all(r["digests"] == {"final.u.yflo": r["side"]} for r in runs)
+    assert report["parent"] == "abc123"
+
+
+def test_medians_are_taken_per_side(tmp_path, stubbed):
+    report = _main(tmp_path, 3)
+    for side in ("parent", "change"):
+        values = [r["result"]["metrics"]["wall_rel"]["value"] for r in report["runs"] if r["side"] == side]
+        assert len(values) == 3
+        assert report["medians"]["w"][side] == {"wall_rel": statistics.median(values), "pass_frac": 1.0}
+
+
+def test_zero_pairs_is_a_usage_error(tmp_path, stubbed, capsys):
+    with pytest.raises(SystemExit) as info:
+        _main(tmp_path, 0)
+    assert info.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert stubbed == []

@@ -6,9 +6,8 @@ import pytest
 
 import yamabeflow as yf
 from yamabeflow import flow
-from yamabeflow.diagnostics import DiagnosticsRecord
 from yamabeflow.errors import ComputationFailure, GridMismatchError
-from yamabeflow.flow import FlowState, Trajectory
+from yamabeflow.flow import DiagnosticsRecord, FlowState, Trajectory
 from yamabeflow.grid import SubdomainMask
 
 from conftest import constant_background, trapped_bump_background, unit_grid
@@ -141,6 +140,12 @@ class TestLemmaBalance:
                 yf.lemma_p_balance_error(bg, states, p=1.5)
         assert yf.lemma_p_balance_error(bg, states, p=2.0) < 0.05
 
+    def test_stationary_window_gives_zero(self, grid8):
+        bg = constant_background(grid8, r0=-1.0, f=-1.0)
+        u = yf.ScalarField.constant(grid8, 1.0)
+        states = [FlowState(u, 0.1 * i, i, 0.1) for i in range(3)]
+        assert yf.lemma_p_balance_error(bg, states) == 0.0
+
     def test_rejects_infinite_p(self, grid8):
         bg = trapped_bump_background(8)
         states = [FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)]
@@ -240,6 +245,10 @@ class TestEnvelopeCheck:
         report = yf.envelope_check(bg, make_traj(records), certificate=FakeCert())
         assert any("trap" in v for v in report.violations)
 
+    def test_no_samples_rejected(self, grid8):
+        with pytest.raises(ValueError, match="no samples"):
+            yf.envelope_check(constant_background(grid8), make_traj([]))
+
 
 class TestDecayCheck:
     def test_blow_up_marked_inapplicable(self):
@@ -266,6 +275,10 @@ class TestDecayCheck:
         lp = [{2.0: 1.0} for _ in ts]
         traj = make_traj(make_records(ts, lp=lp), outcome="timeout")
         assert not yf.decay_check(traj, threshold=1e-8).passed
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            yf.decay_check(make_traj([], outcome="converged"))
 
 
 def test_records_only_trajectory(grid8):
@@ -299,6 +312,17 @@ class TestGrowthFit:
         ts = list(np.linspace(5.0, 10.0, 30))
         traj = make_traj(make_records(ts, max_us=[t for t in ts]), outcome="blow-up")
         with pytest.raises(ValueError):
+            yf.growth_fit(traj)
+
+    def test_requires_positive_time_records(self):
+        traj = make_traj(make_records([0.0, 0.0]), outcome="blow-up")
+        with pytest.raises(ValueError, match="no positive-time records"):
+            yf.growth_fit(traj)
+
+    def test_requires_five_records_in_trailing_decade(self):
+        # The decade [1, 10] holds only t = 2, 5 and 10.
+        traj = make_traj(make_records([0.01, 0.1, 2.0, 5.0, 10.0]), outcome="blow-up")
+        with pytest.raises(ValueError, match="at least 5 records in the trailing decade, got 3"):
             yf.growth_fit(traj)
 
 

@@ -246,7 +246,7 @@ class TestDigests:
             "ecf9456bba8318ae9aa66f46d34705a5a8449853ec9bf0dc65fc214686d99847"
         )
         assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "86ffe57dfcb48f9a8723682f8d64c8aa02537dbe8db846b76c2e3d935ffceab2"
+            "c441a658700174c4f966e27365efb8c7a30359fccf2c216041f1c561e38857bd"
         )
 
 

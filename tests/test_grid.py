@@ -73,6 +73,11 @@ class TestGridSpec:
         assert g.num_points == 256
         assert len(g.meshgrid()) == 4
 
+    @pytest.mark.parametrize("k", [21, 22])
+    def test_num_points_is_exact_past_int64(self, k):
+        """2^63 and 2^66 points: a product in int64 reads -2^63 and 0."""
+        assert yf.GridSpec(3, (2**k,) * 3, (1, 1, 1)).num_points == 2 ** (3 * k)
+
 
 class TestScalarField:
     def test_constant(self, grid8):
@@ -122,6 +127,12 @@ class TestIntegrate:
         a = yf.integrate(yf.ScalarField(grid8, vals))
         b = yf.integrate(yf.ScalarField(grid8, vals.transpose(2, 0, 1)))
         assert a == b
+
+    def test_values_made_non_finite_after_construction_rejected(self, grid8):
+        w = yf.ScalarField.constant(grid8, 1.0)
+        w.values[1, 2, 3] = math.nan
+        with pytest.raises(NonFiniteFieldError, match=r"\(1, 2, 3\)"):
+            yf.integrate(w)
 
 
 class TestLpNorm:

@@ -8,7 +8,6 @@ from yamabeflow.operators import (
     _laplacian_g_values,
     _laplacian_values,
     _periodic_diff,
-    gradient_squared,
     require_positive,
 )
 
@@ -193,14 +192,6 @@ class TestStationaryResidual:
         assert yf.stationary_residual(bg, yf.ScalarField.constant(grid8, 1.0)) == 1.0
 
 
-def test_gradient_squared_single_mode(grid8):
-    x = grid8.meshgrid()[0]
-    w = yf.ScalarField(grid8, x)  # sawtooth: unit slope except at the wrap
-    gs = gradient_squared(w)
-    assert gs[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert gs[7, 0, 0] == pytest.approx(7.0**2, rel=1e-12)  # wrap-around jump
-
-
 def test_require_positive_names_argument(grid8):
     vals = np.ones(grid8.shape)
     vals[1, 1, 1] = -1.0
@@ -266,9 +257,35 @@ def test_stencils_bitwise_equal_reference_forms(grid):
     u = 1.0 + 0.5 * rng.random(grid.shape)
     assert np.array_equal(_laplacian_values(w, grid.spacings), _reference_laplacian(w, grid.spacings))
     assert np.array_equal(_laplacian_g_values(bg, u, w), _reference_laplacian_g(bg, u, w))
-    assert np.array_equal(
-        gradient_squared(yf.ScalarField(grid, w)), _reference_gradient_squared(w, grid.spacings)
+
+
+@STENCIL_GRIDS
+def test_dirichlet_forms_through_l0_equal_gradient_forms(grid):
+    # The energy and the Rayleigh quotient read int(c_n |grad w|^2 + R0 w^2)
+    # as int(w L0 w), by summation by parts; it must match the sum of squared
+    # forward differences to roundoff.
+    rng = np.random.default_rng(17)
+    bg = yf.Background(
+        grid,
+        yf.ScalarField(grid, -1.0 - rng.random(grid.shape)),
+        yf.ScalarField(grid, rng.standard_normal(grid.shape)),
     )
+    r0, f = bg.r0.values, bg.f.values
+    mask = yf.SubdomainMask(grid, rng.random(grid.shape) < 0.5)
+    for _ in range(5):
+        u = 1.0 + 0.5 * rng.random(grid.shape)
+        density = (
+            bg.c_n * _reference_gradient_squared(u, grid.spacings)
+            + r0 * u * u
+            - ((bg.n - 2.0) / bg.n) * f * u ** (bg.big_n + 1.0)
+        )
+        ref = _fsum(density) * grid.cell_volume
+        assert abs(yf.energy(bg, yf.ScalarField(grid, u)) - ref) <= 1e-13 * abs(ref)
+
+        w = np.where(mask.inside, rng.standard_normal(grid.shape), 0.0)
+        num = _fsum(bg.c_n * _reference_gradient_squared(w, grid.spacings) + r0 * w * w)
+        ref = num / _fsum(w * w)
+        assert abs(yf.rayleigh_quotient(bg, yf.ScalarField(grid, w), mask) - ref) <= 1e-13 * abs(ref)
 
 
 @STENCIL_GRIDS

@@ -56,6 +56,14 @@ def test_length_checked_against_header(tmp_path, grid8, edit):
     assert f"expected {expected} bytes" in message and f"got {len(raw)}" in message
 
 
+def test_header_of_a_grid_past_int64_fails_the_length_check(tmp_path):
+    # A 48-byte file whose header claims 2^66 points, whose count wraps to 0 in int64.
+    path = tmp_path / "huge.yflo"
+    path.write_bytes(struct.pack("<4sII3I3d", b"YFLO", 1, 3, *(2**22,) * 3, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="expected .* bytes"):
+        snapshots.read_field(path)
+
+
 def test_truncated_header_rejected(tmp_path, grid8):
     path = tmp_path / "u.yflo"
     snapshots.write_field(path, yf.ScalarField.constant(grid8, 1.0))
