@@ -97,8 +97,8 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _run_loop(scn, args, start=None, carry=None, csv_prefix=None) -> int:
-    """The flow loop and the one CSV writer; ``resume`` passes start, carry and csv_prefix."""
+def _run_loop(scn, args, start=None, csv_prefix=None) -> int:
+    """The flow loop and the one CSV writer; ``resume`` passes start and csv_prefix."""
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
     out = _out_dir(args)
     orders = cfg.resolve_orders(scn.grid.n)
@@ -106,9 +106,9 @@ def _run_loop(scn, args, start=None, carry=None, csv_prefix=None) -> int:
         snapshots.remove_checkpoint(out)
         csv_prefix = [_csv_header(orders)]
 
-    def on_checkpoint(state, carry):
+    def on_checkpoint(state):
         if state.step % args.checkpoint_every == 0:
-            snapshots.write_checkpoint(out, state, carry)
+            snapshots.write_checkpoint(out, state)
 
     with open(out / CSV_NAME, "w") as csv:
         csv.write("".join(line + "\n" for line in csv_prefix))
@@ -118,7 +118,7 @@ def _run_loop(scn, args, start=None, carry=None, csv_prefix=None) -> int:
             csv.flush()
 
         traj = flowmod.run(
-            scn.background, scn.u0, cfg, start=start, carry=carry, on_record=on_record,
+            scn.background, scn.u0, cfg, start=start, on_record=on_record,
             on_checkpoint=on_checkpoint if args.checkpoint_every > 0 else None,
         )
     snapshots.write_field(out / FINAL_U, traj.final.u)
@@ -129,7 +129,7 @@ def _run_loop(scn, args, start=None, carry=None, csv_prefix=None) -> int:
 
 def cmd_resume(scn, args) -> int:
     try:
-        start, carry = snapshots.read_checkpoint(args.out)
+        start = snapshots.read_checkpoint(args.out)
         lines = (args.out / CSV_NAME).read_text().splitlines()
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot resume from {args.out}: {exc}") from exc
@@ -138,16 +138,15 @@ def cmd_resume(scn, args) -> int:
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
     if start.t > cfg.t_max or (cfg.max_steps is not None and start.step > cfg.max_steps):
         raise ScenarioError(f"checkpoint at step {start.step}, t={start.t:g} is past the stop")
-    s, k = start.step, cfg.record_every  # records fall on step 0 and on each multiple of k
-    if (carry.last_record_step, carry.records_written) != (s // k * k, s // k + 1):
-        raise ScenarioError(f"checkpoint at step {s} does not fit flow.record_every = {k}: {carry}")
+    s, k, n, last = start.step, cfg.record_every, start.records_written, start.last_record_step
+    if (last, n) != (s // k * k, s // k + 1):  # records fall on step 0 and each multiple of k
+        raise ScenarioError(f"checkpoint at step {s} ({n} records, the last at step {last}) "
+                            f"does not fit flow.record_every = {k}")
     if lines[:1] != [_csv_header(cfg.resolve_orders(scn.grid.n))]:
         raise ScenarioError(f"the header of {CSV_NAME} is not the one a run writes")
-    if len(lines) < 1 + carry.records_written:
-        raise ScenarioError(
-            f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {carry.records_written}"
-        )
-    return _run_loop(scn, args, start, carry, lines[: 1 + carry.records_written])
+    if len(lines) < 1 + n:
+        raise ScenarioError(f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {n}")
+    return _run_loop(scn, args, start, lines[: 1 + n])
 
 
 def cmd_eigen(scn, args) -> int:
@@ -284,7 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(load_scenario(args.scenario), args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except ComputationFailure as exc:

@@ -187,10 +187,12 @@ def envelope_check(bg: Background, trajectory, certificate=None) -> EnvelopeRepo
     for t, mn, mx in zip(ts, mins, maxs):
         if mn < lower - 1e-8 or mn <= 0.0:
             report.violations.append(f"lower barrier at t={t:g}: min u = {mn:g} < {lower:g}")
-        if mx > upper_base * math.exp(c1 * t) + 1e-8:
-            report.violations.append(
-                f"upper envelope at t={t:g}: max u = {mx:g} > {upper_base * math.exp(c1 * t):g}"
-            )
+        try:
+            upper = upper_base * math.exp(c1 * t)
+        except OverflowError:  # past the float range the envelope bounds no finite max u
+            upper = math.inf
+        if mx > upper + 1e-8:
+            report.violations.append(f"upper envelope at t={t:g}: max u = {mx:g} > {upper:g}")
         if trap is not None and mx > trap + 1e-8:
             report.violations.append(f"trap at t={t:g}: max u = {mx:g} > {trap:g}")
     return report

@@ -13,7 +13,7 @@ first RK4 stage, the trapezoid dissipation and the diagnostics record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "DiagnosticsRecord",
     "FlowState",
     "FlowConfig",
-    "RunCarry",
     "Trajectory",
     "velocity",
     "stable_dt",
@@ -51,10 +50,15 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class FlowState:
+    """A run's whole loop state: a checkpoint stores one, and ``run(start=state)`` continues it."""
+
     u: ScalarField
     t: float
     step: int
     dt_last: float
+    dissipation_cum: float = 0.0
+    records_written: int = 0
+    last_record_step: int = -1
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,6 @@ class FlowConfig:
     def resolve_orders(self, n: int) -> tuple[float, ...]:
         """The Lp ladder of the convergence proof: 2, n/2 and n^2/(2(n-2)), 2 first."""
         return tuple(dict.fromkeys((2.0, n / 2.0, n * n / (2.0 * (n - 2.0)))))  # n = 4: 2, 2, 4
-
-
-@dataclass
-class RunCarry:
-    """Scalar loop state that must survive a checkpoint/resume split."""
-
-    dissipation_cum: float = 0.0
-    records_written: int = 0
-    last_record_step: int = -1
 
 
 @dataclass
@@ -219,9 +214,7 @@ def step(bg: Background, state: FlowState, dt: float, ev: _StateEval | None = No
     )
 
 
-def _make_record(
-    bg: Background, state: FlowState, ev: _StateEval, carry: RunCarry, orders
-) -> DiagnosticsRecord:
+def _make_record(bg: Background, state: FlowState, ev: _StateEval, orders) -> DiagnosticsRecord:
     vol = bg.grid.cell_volume
     abs_resid = np.abs(ev.resid)
     # The ladder starts at 2, whose moment the state already holds: ev.sq.
@@ -235,7 +228,7 @@ def _make_record(
         volume_g=_fsum(ev.weight) * vol,
         residual_sup=ev.residual_sup,
         residual_lp=residual_lp,
-        dissipation_cum=carry.dissipation_cum,
+        dissipation_cum=state.dissipation_cum,
     )
 
 
@@ -245,17 +238,16 @@ def run(
     cfg: FlowConfig,
     certificate=None,
     start: FlowState | None = None,
-    carry: RunCarry | None = None,
     on_record=None,
     on_checkpoint=None,
 ) -> Trajectory:
     """Advance the flow to convergence, timeout, or blow-up, recording diagnostics.
 
-    ``start``/``carry`` let a caller continue an interrupted run from a
-    checkpoint; records, the trapezoid dissipation accumulator, and step
-    sizes then continue bitwise as if the run had never stopped.
-    ``on_checkpoint(state, carry)`` sees, in order and after its record, every
-    state after step 0 that the run continues from; the caller picks which to store.
+    ``start``, such as a checkpoint's state or a ``Trajectory.final``, is the
+    one loop state a run continues from, and is left as it was; records, the
+    trapezoid dissipation and step sizes continue bitwise as if the run had
+    never stopped.  ``on_checkpoint(state)`` sees, in order and after its record,
+    every state after step 0 that the run continues from; the caller picks which to store.
     """
     require_same_grid(bg, u0)
     require_positive(u0, "u0")
@@ -263,7 +255,6 @@ def run(
         require_same_grid(bg, start.u)
     orders = cfg.resolve_orders(bg.n)
     state = start if start is not None else FlowState(u0, 0.0, 0, 0.0)
-    carry = carry if carry is not None else RunCarry()
     records: list[DiagnosticsRecord] = []
     rows = []
 
@@ -272,7 +263,7 @@ def run(
     while True:
         rows.append((state.t, state.dt_last, ev.energy, ev.min_u, ev.max_u))
 
-        due = state.step % cfg.record_every == 0 and state.step > carry.last_record_step
+        due = state.step % cfg.record_every == 0 and state.step > state.last_record_step
         if ev.residual_sup <= cfg.residual_stop:
             outcome = "converged"
         elif state.t >= cfg.t_max:
@@ -281,17 +272,18 @@ def run(
             outcome = "timeout"
         elif ev.max_u >= cfg.blowup_ceiling:
             outcome = "blow-up"
-        if due or (outcome is not None and state.step > carry.last_record_step):
-            rec = _make_record(bg, state, ev, carry, orders)
+        if due or (outcome is not None and state.step > state.last_record_step):
+            rec = _make_record(bg, state, ev, orders)
             records.append(rec)
-            carry.records_written += 1
-            carry.last_record_step = state.step
+            state = replace(
+                state, records_written=state.records_written + 1, last_record_step=state.step
+            )
             if on_record is not None:
                 on_record(rec)
         if outcome is not None:
             break
         if on_checkpoint is not None and state.step > 0:
-            on_checkpoint(state, carry)
+            on_checkpoint(state)
 
         if cfg.fixed_dt is not None:
             dt = cfg.fixed_dt
@@ -299,10 +291,11 @@ def run(
             dt = stable_dt(bg, state.u, cfg.cfl_fraction, ev)
         if state.t + dt > cfg.t_max:
             dt = cfg.t_max - state.t
-        new_state = step(bg, state, dt, ev)
-        new_ev = _StateEval(bg, new_state.u)
-        carry.dissipation_cum += 0.5 * (new_state.t - state.t) * (ev.sq + new_ev.sq)
-        state, ev = new_state, new_ev
+        new = step(bg, state, dt, ev)
+        new_ev = _StateEval(bg, new.u)
+        dissipation = state.dissipation_cum + 0.5 * (new.t - state.t) * (ev.sq + new_ev.sq)
+        counters = state.records_written, state.last_record_step  # the constructor beats replace()
+        state, ev = FlowState(new.u, new.t, new.step, new.dt_last, dissipation, *counters), new_ev
 
     step_t, step_dt, step_e, step_mn, step_mx = map(list, zip(*rows))
     return Trajectory(

@@ -6,9 +6,9 @@ values.
 
 A checkpoint is a pair of files in a run's output directory:
 ``checkpoint.u.yflo``, the field ``u``, and ``checkpoint.state.yflo``, a
-sidecar with the scalar loop state of ``FlowState`` and ``RunCarry`` in the
-same numeric encoding.  This module is the only place that knows the two
-names, the sidecar layout and which fields go in it.
+sidecar with the other fields of the one ``FlowState`` that is a run's whole
+loop state, in the same numeric encoding.  This module is the only place that
+knows the two names, the sidecar layout and which fields go in it.
 
 Every write rewrites an existing file in place and then truncates it to the
 new image, which leaves the bytes of a fresh write without making the file
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import FlowState, RunCarry
+from .flow import FlowState
 from .grid import GridSpec, ScalarField
 from .operators import require_positive
 
@@ -96,15 +96,15 @@ def read_field(path) -> ScalarField:
 _SIDECAR = struct.Struct("<4sIIIdddd")
 
 
-def write_sidecar(path, state: FlowState, carry: RunCarry) -> None:
+def write_sidecar(path, state: FlowState) -> None:
     raw = _SIDECAR.pack(
-        MAGIC, VERSION, state.step, carry.records_written, float(carry.last_record_step),
-        state.t, state.dt_last, carry.dissipation_cum,
+        MAGIC, VERSION, state.step, state.records_written, float(state.last_record_step),
+        state.t, state.dt_last, state.dissipation_cum,
     )
     _rewrite(path, raw)
 
 
-def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
+def read_sidecar(path, u: ScalarField) -> FlowState:
     """The loop state stored at ``path``, around the field ``u`` it belongs to."""
     raw = Path(path).read_bytes()
     if len(raw) != _SIDECAR.size:
@@ -116,19 +116,18 @@ def read_sidecar(path, u: ScalarField) -> tuple[FlowState, RunCarry]:
         raise ValueError(f"{path}: need 0 <= t, dt_last, dissipation_cum < inf: {t, dt_last, diss}")
     if not (-1.0 <= last_record <= step and last_record.is_integer()):
         raise ValueError(f"{path}: last_record_step {last_record} not an integer in [-1, {step}]")
-    carry = RunCarry(diss, records, int(last_record))
-    return FlowState(u, t, step, dt_last), carry
+    return FlowState(u, t, step, dt_last, diss, records, int(last_record))
 
 
-def write_checkpoint(out, state: FlowState, carry: RunCarry) -> None:
-    """Write the checkpoint pair for ``state`` and ``carry`` into directory ``out``."""
+def write_checkpoint(out, state: FlowState) -> None:
+    """Write the checkpoint pair for ``state`` into directory ``out``."""
     out = Path(out)
     _rewrite(out / CHECKPOINT_STATE, bytes(_SIDECAR.size))  # refused until rewritten last
     write_field(out / CHECKPOINT_U, state.u)
-    write_sidecar(out / CHECKPOINT_STATE, state, carry)
+    write_sidecar(out / CHECKPOINT_STATE, state)
 
 
-def read_checkpoint(out) -> tuple[FlowState, RunCarry]:
+def read_checkpoint(out) -> FlowState:
     """Read the checkpoint pair that ``write_checkpoint`` left in directory ``out``."""
     out = Path(out)
     u = read_field(out / CHECKPOINT_U)

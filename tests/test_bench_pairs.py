@@ -62,6 +62,20 @@ def test_medians_are_taken_per_side(tmp_path, stubbed):
         assert report["medians"]["w"][side] == {"wall_rel": statistics.median(values), "pass_frac": 1.0}
 
 
+@pytest.mark.parametrize(
+    "pairs, parent, change",
+    [(1, [1.0, 1.0], [102.0, 102.0]),  # one run is both quartiles
+     (3, [2.5, 4.5], [102.5, 104.5])],  # parent runs 1, 4, 5; change runs 102, 103, 106
+)
+def test_quartiles_are_taken_per_side(tmp_path, stubbed, pairs, parent, change):
+    """Beside each median, the inclusive lower and upper quartiles of that side's runs."""
+    report = _main(tmp_path, pairs)
+    assert report["quartiles"]["w"] == {
+        "parent": {"wall_rel": parent, "pass_frac": [1.0, 1.0]},
+        "change": {"wall_rel": change, "pass_frac": [1.0, 1.0]},
+    }
+
+
 def test_zero_pairs_is_a_usage_error(tmp_path, stubbed, capsys):
     with pytest.raises(SystemExit) as info:
         _main(tmp_path, 0)

@@ -262,16 +262,17 @@ class TestDeterminism:
             (out / CSV_NAME).write_text(header + "\n")
         elif case.startswith(("sidecar_", "records_")):  # at step 5, counting the step-0 record
             sidecar = out / snapshots.CHECKPOINT_STATE
-            state, carry = snapshots.read_sidecar(sidecar, None)
+            state = snapshots.read_sidecar(sidecar, None)
             if case == "sidecar_t_nan":
                 state = dataclasses.replace(state, t=math.nan)
             elif case == "sidecar_last_record_inf":
-                carry.last_record_step = math.inf
+                state = dataclasses.replace(state, last_record_step=math.inf)
             elif case == "sidecar_last_record_past_step":
-                carry.last_record_step = state.step + 1
+                state = dataclasses.replace(state, last_record_step=state.step + 1)
             else:  # the CSV holds 2 records: step 0 and the outcome at step 10
-                carry.records_written = 0 if case == "records_written_zero" else 2
-            snapshots.write_sidecar(sidecar, state, carry)
+                records = 0 if case == "records_written_zero" else 2
+                state = dataclasses.replace(state, records_written=records)
+            snapshots.write_sidecar(sidecar, state)
         elif case == "record_every_changed":  # every 2 steps gives 3 records by step 5, not 1
             scn = tmp_path / "changed.txt"
             scn.write_text(CONSTANT.replace("record_every = 20", "record_every = 2"))
@@ -499,6 +500,20 @@ class TestVerifyCommand:
         assert "PASS envelopes" in printed
         assert "PASS dissipation_identity" in printed
 
+    def test_envelope_past_the_float_range(self, tmp_path, capsys):
+        """C1 t passes 709.78 at t = 3000 here: the envelope is +inf there, not a traceback."""
+        scn = tmp_path / "long.txt"
+        scn.write_text(
+            CONSTANT.replace("8 8 8", "4 4 4").replace("1 1 1", "100 100 100")
+            .replace("-2.0", "-1").replace("f.constant = -1.0", "f.constant = -0.001")
+            .replace("record_every = 20", "record_every = 1") + "flow.t_max = 3000\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 0
+        assert "PASS envelopes (0 violations)" in capsys.readouterr().out.splitlines()
+
     def test_says_why_checks_are_skipped(self, tmp_path, constant_scn, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", str(constant_scn), "--out", str(out), "--until", "40steps"])
@@ -688,6 +703,22 @@ class TestScenarioBoundary:
         assert err.startswith("scenario error: cannot create the output directory")
         assert str(taken) in err
         assert taken.read_text() == "a file, not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("run", CSV_NAME), ("run", FINAL_U), ("run", SUMMARY_NAME),
+         ("run", snapshots.CHECKPOINT_U), ("eigen", "phi.yflo"),
+         ("supersolution", "ubar.yflo"), ("supersolution", "certificate.json")],
+    )
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, trapped_scn, capsys,
+                                                   command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory where the command writes a file
+        argv = [command, "--scenario", str(trapped_scn), "--out", str(out)]
+        assert main(argv + (["--until", "2steps"] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:")
+        assert str(out / name) in err
 
     @boundary_cases
     def test_malformed_input_exits_2(self, tmp_path, capsys, lines):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -248,6 +249,17 @@ class TestEnvelopeCheck:
     def test_no_samples_rejected(self, grid8):
         with pytest.raises(ValueError, match="no samples"):
             yf.envelope_check(constant_background(grid8), make_traj([]))
+
+    def test_envelope_past_the_float_range_bounds_nothing(self):
+        """Once exp(C1 t) overflows the envelope is +inf, which no finite max u violates."""
+        grid = yf.GridSpec(3, (4, 4, 4), (100.0, 100.0, 100.0))
+        bg = constant_background(grid, r0=-1.0, f=-0.001)  # C1 = 0.25025
+        traj = yf.run(bg, yf.ScalarField.constant(grid, 1.0), yf.FlowConfig(t_max=3000.0))
+        assert traj.final.t == 3000.0 and 0.25025 * 3000.0 > math.log(sys.float_info.max)
+        assert yf.envelope_check(bg, traj).passed
+        # Where exp(C1 t) is finite the verdict stands: at t = 2800 it is about 1e304.
+        report = yf.envelope_check(bg, make_traj(make_records([0.0, 2800.0], max_us=[1.0, 1e308])))
+        assert any("upper envelope at t=2800" in v for v in report.violations)
 
 
 class TestDecayCheck:

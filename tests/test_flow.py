@@ -9,7 +9,7 @@ import yamabeflow as yf
 from yamabeflow import flow as flowmod
 from yamabeflow.cli import _csv_row
 from yamabeflow.errors import ComputationFailure, GridMismatchError, PositivityCollapseError
-from yamabeflow.flow import FlowState, RunCarry
+from yamabeflow.flow import FlowState
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import _curvature_values
 
@@ -293,12 +293,7 @@ class TestResumeCarry:
 
         cfg_half = yf.FlowConfig(t_max=10.0, max_steps=15, record_every=7)
         first = yf.run(bg, u0, cfg_half)
-        carry = RunCarry(
-            dissipation_cum=first.records[-1].dissipation_cum,
-            records_written=0,
-            last_record_step=first.final.step,
-        )
-        second = yf.run(bg, u0, cfg_full, start=first.final, carry=carry)
+        second = yf.run(bg, u0, cfg_full, start=first.final)
 
         assert np.array_equal(second.final.u.values, full.final.u.values)
         assert second.final.t == full.final.t
@@ -310,12 +305,57 @@ class TestResumeCarry:
         k, every = 11, 3
         seen = []
 
-        def cb(state, carry):
-            seen.append((state.step, carry.last_record_step, carry.records_written))
+        def cb(state):
+            seen.append((state.step, state.last_record_step, state.records_written))
 
         cfg = yf.FlowConfig(t_max=10.0, max_steps=k, record_every=every)
         yf.run(bg, yf.ScalarField.constant(grid8, 1.0), cfg, on_checkpoint=cb)
         assert seen == [(s, s // every * every, s // every + 1) for s in range(1, k)]
+
+    def test_checkpointed_states_keep_their_counters(self):
+        """The states ``on_checkpoint`` hands out, kept as objects, still read their own counters."""
+        bg = trapped_bump_background(6)
+        k, every = 20, 5
+        kept = []
+        cfg = yf.FlowConfig(t_max=10.0, max_steps=k, record_every=every)
+        yf.run(bg, yf.ScalarField.constant(bg.grid, 1.0), cfg, on_checkpoint=kept.append)
+        assert [(st.step, st.last_record_step, st.records_written) for st in kept] == [
+            (s, s // every * every, s // every + 1) for s in range(1, k)
+        ]
+        assert len({id(st) for st in kept}) == len(kept)
+
+    def test_two_runs_from_one_checkpoint_agree(self):
+        """Two runs from one stored state give the same run, and leave that state as it was."""
+        bg = trapped_bump_background(6)
+        u0 = yf.ScalarField.constant(bg.grid, 1.0)
+        cfg = yf.FlowConfig(t_max=10.0, max_steps=20, record_every=5)
+        kept = {}
+        yf.run(bg, u0, cfg, on_checkpoint=lambda st: kept.setdefault(st.step, st))
+        start = kept[8]
+
+        def image(st):
+            return {**vars(st), "u": st.u.values.tobytes()}
+
+        before = image(start)
+        runs = [yf.run(bg, u0, cfg, start=start) for _ in range(2)]
+        assert runs[0].records == runs[1].records
+        assert [r.t for r in runs[0].records] == [r.t for r in runs[1].records] != []
+        assert runs[0].final.dissipation_cum == runs[1].final.dissipation_cum > start.dissipation_cum
+        assert runs[0].final.u.values.tobytes() == runs[1].final.u.values.tobytes()
+        assert image(start) == before
+
+    def test_final_state_continues_a_finished_run(self):
+        """``run(start=traj.final)`` continues a run that stopped as if it had never stopped."""
+        bg = trapped_bump_background(6)
+        u0 = yf.ScalarField.constant(bg.grid, 1.0)
+        full = yf.run(bg, u0, yf.FlowConfig(t_max=10.0, max_steps=20, record_every=5))
+        half = yf.run(bg, u0, yf.FlowConfig(t_max=10.0, max_steps=12, record_every=5))
+        rest = yf.run(bg, u0, yf.FlowConfig(t_max=10.0, max_steps=20, record_every=5),
+                      start=half.final)
+        assert rest.final.u.values.tobytes() == full.final.u.values.tobytes()
+        assert rest.final.dissipation_cum == full.final.dissipation_cum
+        assert rest.records == [r for r in full.records if r.t > half.final.t]
+        assert rest.step_energy == full.step_energy[12:]
 
     def test_start_on_another_grid_rejected(self, grid8):
         bg = constant_background(grid8)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 import yamabeflow as yf
 from yamabeflow import snapshots
-from yamabeflow.flow import RunCarry
 
 from conftest import unit_grid
 
@@ -94,13 +94,12 @@ def test_bad_version_rejected(tmp_path, grid8):
 def test_sidecar_round_trip(tmp_path, grid8):
     path = tmp_path / "state.yflo"
     u = yf.ScalarField.constant(grid8, 1.0)
-    state = yf.FlowState(u, 0.725, 1234, 1.25e-4)
-    carry = RunCarry(dissipation_cum=3.5e-2, records_written=56, last_record_step=1230)
-    snapshots.write_sidecar(path, state, carry)
-    back_state, back_carry = snapshots.read_sidecar(path, u)
+    state = yf.FlowState(u, 0.725, 1234, 1.25e-4, dissipation_cum=3.5e-2, records_written=56,
+                         last_record_step=1230)
+    snapshots.write_sidecar(path, state)
+    back_state = snapshots.read_sidecar(path, u)
     assert back_state == state
-    assert back_carry == carry
-    assert type(back_carry.last_record_step) is int
+    assert type(back_state.last_record_step) is int
 
 
 def test_sidecar_bad_magic(tmp_path, grid8):
@@ -114,9 +113,9 @@ def test_sidecar_format_is_pinned(tmp_path, grid8):
     # Checkpoints written by earlier versions must stay readable, so these 48
     # bytes never change; last_record_step = -1 is stored as an f64.
     path = tmp_path / "state.yflo"
-    state = yf.FlowState(yf.ScalarField.constant(grid8, 1.0), 0.725, 7, 1.25e-4)
-    carry = RunCarry(dissipation_cum=3.5e-2, records_written=0, last_record_step=-1)
-    snapshots.write_sidecar(path, state, carry)
+    state = yf.FlowState(yf.ScalarField.constant(grid8, 1.0), 0.725, 7, 1.25e-4,
+                         dissipation_cum=3.5e-2, records_written=0, last_record_step=-1)
+    snapshots.write_sidecar(path, state)
     assert path.read_bytes().hex() == (
         "59464c4f010000000700000000000000000000000000f0bf"
         "333333333333e73ffca9f1d24d62203fec51b81e85eba13f"
@@ -127,7 +126,7 @@ def test_sidecar_format_is_pinned(tmp_path, grid8):
 def test_sidecar_length_checked(tmp_path, grid8, edit):
     path = tmp_path / "state.yflo"
     u = yf.ScalarField.constant(grid8, 1.0)
-    snapshots.write_sidecar(path, yf.FlowState(u, 0.5, 3, 0.1), RunCarry())
+    snapshots.write_sidecar(path, yf.FlowState(u, 0.5, 3, 0.1))
     raw = path.read_bytes()
     raw = raw[:30] if edit == "truncated" else raw + b"\0"
     path.write_bytes(raw)
@@ -141,27 +140,26 @@ def test_sidecar_length_checked(tmp_path, grid8, edit):
 def test_checkpoint_round_trip_is_bitwise(tmp_path, grid8):
     rng = np.random.default_rng(1)
     u = yf.ScalarField(grid8, 1.0 + rng.random(grid8.shape))
-    state = yf.FlowState(u, 0.3, 40, 2.5e-4)
-    carry = RunCarry(dissipation_cum=1.5e-3, records_written=5, last_record_step=40)
-    snapshots.write_checkpoint(tmp_path, state, carry)
+    state = yf.FlowState(u, 0.3, 40, 2.5e-4, dissipation_cum=1.5e-3, records_written=5,
+                         last_record_step=40)
+    snapshots.write_checkpoint(tmp_path, state)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         snapshots.CHECKPOINT_STATE,
         snapshots.CHECKPOINT_U,
     ]
-    back_state, back_carry = snapshots.read_checkpoint(tmp_path)
+    back_state = snapshots.read_checkpoint(tmp_path)
     assert back_state.u.grid == grid8
     assert back_state.u.values.tobytes() == u.values.tobytes()
-    assert (back_state.t, back_state.step, back_state.dt_last) == (0.3, 40, 2.5e-4)
-    assert back_carry == carry
+    assert dataclasses.replace(back_state, u=u) == state
 
 
 def _writers(grid):
     """The field and sidecar writers, each writing one fixed image on ``grid`` to a path."""
     u = yf.ScalarField(grid, 1.0 + np.random.default_rng(2).random(grid.shape))
-    state = yf.FlowState(u, 0.725, 7, 1.25e-4)
+    state = yf.FlowState(u, 0.725, 7, 1.25e-4, 3.5e-2, 2, 5)
     return {
         "field": lambda path: snapshots.write_field(path, u),
-        "sidecar": lambda path: snapshots.write_sidecar(path, state, RunCarry(3.5e-2, 2, 5)),
+        "sidecar": lambda path: snapshots.write_sidecar(path, state),
     }
 
 
@@ -185,15 +183,15 @@ def test_rewritten_checkpoint_keeps_two_files(tmp_path, grid8):
     rng = np.random.default_rng(3)
     for step in (10, 20):
         u = yf.ScalarField(grid8, 1.0 + rng.random(grid8.shape))
-        carry = RunCarry(dissipation_cum=1e-3 * step, records_written=step // 10 + 1,
-                         last_record_step=step)
-        snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.01 * step, step, 1e-3), carry)
+        state = yf.FlowState(u, 0.01 * step, step, 1e-3, dissipation_cum=1e-3 * step,
+                             records_written=step // 10 + 1, last_record_step=step)
+        snapshots.write_checkpoint(tmp_path, state)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         snapshots.CHECKPOINT_STATE,
         snapshots.CHECKPOINT_U,
     ]
-    back_state, back_carry = snapshots.read_checkpoint(tmp_path)
-    assert back_state.step == 20 and back_carry == carry
+    back_state = snapshots.read_checkpoint(tmp_path)
+    assert dataclasses.replace(back_state, u=u) == state
     assert back_state.u.values.tobytes() == u.values.tobytes()
 
 
@@ -201,14 +199,14 @@ def test_rewritten_checkpoint_keeps_two_files(tmp_path, grid8):
 def test_interrupted_checkpoint_reads_as_corrupted(tmp_path, grid8, monkeypatch, stop):
     """A checkpoint stopped before its sidecar is written leaves no pair that reads."""
     u = yf.ScalarField.constant(grid8, 1.0)
-    snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.1, 10, 1e-2), RunCarry(1e-3, 2, 10))
+    snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.1, 10, 1e-2, 1e-3, 2, 10))
 
     def interrupted(*args):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(snapshots, stop, interrupted)
     with pytest.raises(KeyboardInterrupt):
-        snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.2, 20, 1e-2), RunCarry(2e-3, 3, 20))
+        snapshots.write_checkpoint(tmp_path, yf.FlowState(u, 0.2, 20, 1e-2, 2e-3, 3, 20))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="bad magic"):
         snapshots.read_checkpoint(tmp_path)

@@ -11,8 +11,10 @@ runs the parent first when ``k`` is even and the change first when it is
 odd, so a drift of the machine's speed does not favour one side.  Each run's
 last stdout line (the result object) is written, tagged with its workload,
 pair, side and the side that ran first, together with the output digests
-from the line before it and the per-side medians of every metric.
-Standard library only.
+from the line before it, and the per-side median and quartiles of every
+metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
+numpy's default interpolation; the spread between them is what decides
+whether a difference of medians is resolved.  Standard library only.
 """
 
 from __future__ import annotations
@@ -55,7 +57,16 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
     return json.loads(lines[-1]), json.loads(lines[-2])["detail"]["digests"]
 
 
-def medians(runs: list[dict]) -> dict:
+def quartiles(values: list[float]) -> list[float]:
+    """The lower and upper quartiles of ``values``; one value is both."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def per_side(runs: list[dict], stat) -> dict:
+    """``stat`` of each metric's values, per workload and side."""
     out: dict = {}
     for run in runs:
         side = out.setdefault(run["workload"], {}).setdefault(run["side"], {})
@@ -64,7 +75,7 @@ def medians(runs: list[dict]) -> dict:
     for sides in out.values():
         for values in sides.values():
             for name in values:
-                values[name] = statistics.median(values[name])
+                values[name] = stat(values[name])
     return out
 
 
@@ -100,7 +111,8 @@ def main(argv=None) -> int:
         "parent": parent_sha,
         "change": f"working tree on {git('rev-parse', 'HEAD')}"
                   + (" with uncommitted changes" if git("status", "--porcelain") else ""),
-        "medians": medians(runs),
+        "medians": per_side(runs, statistics.median),
+        "quartiles": per_side(runs, quartiles),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
