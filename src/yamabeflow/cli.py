@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -174,8 +175,10 @@ def cmd_supersolution(scn, args) -> int:
     cert = hyp.build_supersolution(scn.background, scn.omega, **scn.supersolution)
     out = _out_dir(args)
     snapshots.write_field(out / "ubar.yflo", cert.ubar)
+    # JSON has no infinity: a non-finite field (delta_hi when sup_Omega f <= 0) is written null.
     payload = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.name != "ubar"}
-    (out / "certificate.json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    payload = {k: v if math.isfinite(v) else None for k, v in payload.items()}
+    (out / "certificate.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(
         f"delta = {cert.delta:g} in [{cert.delta_lo:g}, {cert.delta_hi:g}], "
         f"min L(ubar) = {cert.min_l_ubar:g}"

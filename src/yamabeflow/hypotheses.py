@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ComputationFailure, DeltaWindowEmptyError, EigenvalueConditionError
-from .grid import (
-    ScalarField,
-    SubdomainMask,
-    chebyshev_distance,
-    require_same_grid,
-)
+from .grid import ScalarField, SubdomainMask, chebyshev_distance, require_same_grid
 from .operators import Background, _conformal_values, require_positive
 from .spectral import dirichlet_eigen
 

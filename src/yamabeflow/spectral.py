@@ -20,6 +20,10 @@ with the nonnegative principal eigenvector), and the next shift moves up to
 nears ``lambda_1``, instead of by the fixed ratio at ``sigma_0``; two
 components of the mask with nearly equal eigenvalues separate in a few
 iterations.
+
+scipy loads on the first solve, so ``run``, ``resume`` and ``verify`` never
+import it.  ``cg`` is a module function that forwards to scipy's, and the solve
+calls it through the module, so a replaced ``spectral.cg`` sees every inner solve.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .errors import EigenConvergenceError
 from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
@@ -51,8 +53,15 @@ class EigenResult:
     iterations: int
 
 
-def _masked_operator(bg: Background, mask: SubdomainMask) -> sparse.csr_array:
+def cg(*args, **kwargs):
+    """scipy's ``cg``, imported on the first call, with the arguments unchanged."""
+    from scipy.sparse.linalg import cg as scipy_cg
+    return scipy_cg(*args, **kwargs)
+
+
+def _masked_operator(bg: Background, mask: SubdomainMask):
     """``-c_n Lap + R0`` on the mask points in row-major order, couplings to outside dropped."""
+    from scipy import sparse
     k = int(np.count_nonzero(mask.inside))
     index = np.full(bg.grid.shape, -1)
     index[mask.inside] = np.arange(k)
@@ -85,6 +94,7 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
     if mask.is_empty:
         return EigenResult(math.inf, ScalarField.zeros(bg.grid), 0.0, 0)
 
+    from scipy import sparse
     lmat = _masked_operator(bg, mask)
     k = lmat.shape[0]
     eye = sparse.eye_array(k, format="csr")

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ def stubbed(monkeypatch):
         calls.append((workload, side))
         value = float(len(calls)) + (100.0 if side == "change" else 0.0)
         result = {"metrics": {"wall_rel": {"value": value}, "pass_frac": {"value": 1.0}}}
-        return result, {"final.u.yflo": side}
+        return result, {"digests": {"final.u.yflo": side}, "import_runs_s": [0.1]}
 
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc123")
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
@@ -51,6 +52,7 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, stubbed):
         (2, "parent", "parent"), (2, "change", "parent"),
     ]
     assert all(r["digests"] == {"final.u.yflo": r["side"]} for r in runs)
+    assert all(r["import_runs_s"] == [0.1] for r in runs)
     assert report["parent"] == "abc123"
 
 
@@ -82,3 +84,24 @@ def test_zero_pairs_is_a_usage_error(tmp_path, stubbed, capsys):
     assert info.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
     assert stubbed == []
+
+
+def test_bench_keeps_where_the_time_went(monkeypatch, tmp_path):
+    """Beside the result, a run keeps its digests, import and set-up times, first and median wall."""
+    detail = {"walls_s": [0.9, 0.2, 0.4, 0.3], "import_runs_s": [0.3, 0.1, 0.2],
+              "setup_runs_s": [0.5, 0.01, 0.02], "digests": {"final.u.yflo": "ab"}, "reps": 4}
+    result = {"metrics": {"wall_rel": {"value": 1.0}}}
+    stdout = "\n".join(["noise", json.dumps({"detail": detail}), json.dumps(result)])
+    argvs = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        argvs.append((cmd[1:], cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got, kept = bench_pairs.bench(tmp_path, "w", 7, 2.0)
+    assert argvs == [(["perfbench/run.py", "--workload", "w", "--seed", "7", "--seconds", "2.0",
+                       "--trace", "0"], tmp_path)]
+    assert got == result
+    assert kept == {"digests": {"final.u.yflo": "ab"}, "import_runs_s": [0.3, 0.1, 0.2],
+                    "setup_runs_s": [0.5, 0.01, 0.02], "wall_first_s": 0.9, "wall_median_s": 0.35}

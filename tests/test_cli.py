@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,26 @@ flow.record_every = 20
 CONVERGING = CONSTANT.replace("8 8 8", "6 6 6").replace("-2.0", "-1.2") + (
     "flow.fixed_dt = 0.05\nflow.t_max = 30\n"
 )
+
+
+# f = -1 plus a unit bump: sup f = 0, at the centre.
+NONPOSITIVE_PEAK = """
+grid.n = 3
+grid.sizes = 8 8 8
+grid.lengths = 1 1 1
+r0.constant = -1.0
+f.constant = -1.0
+f.bump.0.amplitude = 1.0
+f.bump.0.center = 0.5 0.5 0.5
+f.bump.0.width = 0.1
+u0.constant = 1.0
+"""
+
+BALL_AT_PEAK = """
+omega.type = ball
+omega.center = 0.5 0.5 0.5
+omega.radius = 0.2
+"""
 
 
 @pytest.fixture
@@ -418,6 +439,25 @@ class TestSupersolutionCommand:
         assert payload["min_l_ubar"] >= -1e-9
         ubar = snapshots.read_field(out / "ubar.yflo")
         assert ubar.min() > 0.0
+
+    @pytest.mark.parametrize("text, nulls", [
+        (NONPOSITIVE_PEAK + BALL_AT_PEAK, ["delta_hi"]),  # sup_Omega f = 0 at the bump's peak
+        (CONSTANT, ["lambda_d", "delta_hi"]),  # the empty Omega
+    ], ids=["ball-at-peak", "empty-omega"])
+    def test_infinite_fields_are_written_null(self, tmp_path, capsys, text, nulls):
+        """``certificate.json`` is strict JSON: a field that is infinite is ``null``."""
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        out = tmp_path / "cert"
+        assert main(["supersolution", "--scenario", str(path), "--out", str(out)]) == 0
+        assert ", inf], min L(ubar)" in capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads((out / "certificate.json").read_text(), parse_constant=refuse)
+        assert [k for k, v in payload.items() if v is None] == nulls
+        assert all(math.isfinite(v) for v in payload.values() if v is not None)
 
     def test_failure_exit_code(self, tmp_path, capsys):
         text = TRAPPED.replace("amplitude = 1.005", "amplitude = 1.2")

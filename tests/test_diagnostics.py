@@ -246,6 +246,15 @@ class TestEnvelopeCheck:
         report = yf.envelope_check(bg, make_traj(records), certificate=FakeCert())
         assert any("trap" in v for v in report.violations)
 
+    def test_min_u_just_below_the_lower_barrier_is_a_violation(self, grid8):
+        """The barrier's slack is roundoff: a min u 1e-4 below it is reported."""
+        bg = constant_background(grid8, r0=-1.0, f=-1.0)  # C0 = 1 = min u0, so the barrier is 1
+        records = make_records([0.0, 0.1])
+        records[1] = dataclasses.replace(records[1], min_u=1.0 - 1e-4)
+        report = yf.envelope_check(bg, make_traj(records))
+        assert report.lower_bound == 1.0
+        assert [v.split(":")[0] for v in report.violations] == ["lower barrier at t=0.1"]
+
     def test_no_samples_rejected(self, grid8):
         with pytest.raises(ValueError, match="no samples"):
             yf.envelope_check(constant_background(grid8), make_traj([]))
@@ -281,6 +290,17 @@ class TestDecayCheck:
         lp = [{2.0: 1e-9 * (1.0 + (0.5 * i if i > 15 else 0.0))} for i in range(20)]
         traj = make_traj(make_records(ts, lp=lp), outcome="converged")
         assert not yf.decay_check(traj, threshold=1e-6).passed
+
+    def test_tail_rise_of_ten_percent_is_not_monotone(self):
+        """One tail record 10% above the one before it is past the 5% allowance."""
+        ts = [0.1 * i for i in range(20)]
+        series = [1e-9 * 0.9**i for i in range(20)]
+        series[17] = 1.1 * series[16]  # the tail is the last 5 records, from index 15
+        traj = make_traj(make_records(ts, lp=[{2.0: v} for v in series]), outcome="converged")
+        report = yf.decay_check(traj, threshold=1e-6)
+        assert report.orders[2.0]["final_ok"]
+        assert not report.orders[2.0]["monotone_ok"]
+        assert not report.passed
 
     def test_large_final_fails(self):
         ts = [0.1 * i for i in range(20)]

@@ -10,9 +10,11 @@ temporary directory; the change is this working tree.  Pair ``k`` (from 0)
 runs the parent first when ``k`` is even and the change first when it is
 odd, so a drift of the machine's speed does not favour one side.  Each run's
 last stdout line (the result object) is written, tagged with its workload,
-pair, side and the side that ran first, together with the output digests
-from the line before it, and the per-side median and quartiles of every
-metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
+pair, side and the side that ran first, together with what the line before
+it says about where the time went (the output digests, the fresh-interpreter
+import times ``import_runs_s``, the workload set-up times ``setup_runs_s``,
+the first repetition's wall time ``wall_first_s`` and the median wall time
+``wall_median_s``), and the per-side median and quartiles of every metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
 numpy's default interpolation; the spread between them is what decides
 whether a difference of medians is resolved.  Standard library only.
 """
@@ -47,14 +49,18 @@ def extract(rev: str, dest: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``--trace 0`` run in ``tree``: its result object and its output digests."""
+    """One ``--trace 0`` run in ``tree``: its result object and what a run keeps of its detail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1]), json.loads(lines[-2])["detail"]["digests"]
+    detail = json.loads(lines[-2])["detail"]
+    kept = {key: detail[key] for key in ("digests", "import_runs_s", "setup_runs_s")}
+    kept["wall_first_s"] = detail["walls_s"][0]  # the repetition that pays first-call costs
+    kept["wall_median_s"] = statistics.median(detail["walls_s"])
+    return json.loads(lines[-1]), kept
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -100,9 +106,9 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result, digests = bench(trees[side], workload, args.seed, args.seconds)
+                    result, kept = bench(trees[side], workload, args.seed, args.seconds)
                     runs.append({"workload": workload, "pair": pair, "side": side,
-                                 "first": order[0], "result": result, "digests": digests})
+                                 "first": order[0], "result": result, **kept})
                     print(workload, pair, side, json.dumps(result["metrics"]), file=sys.stderr)
 
     report = {
