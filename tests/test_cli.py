@@ -47,8 +47,8 @@ CONVERGING = CONSTANT.replace("8 8 8", "6 6 6").replace("-2.0", "-1.2") + (
 )
 
 
-# f = -1 plus a unit bump: sup f = 0, at the centre.
-NONPOSITIVE_PEAK = """
+# f = -1 plus a unit bump, so sup f = 0 at the centre, and Omega a ball there.
+BALL_AT_ZERO_PEAK = """
 grid.n = 3
 grid.sizes = 8 8 8
 grid.lengths = 1 1 1
@@ -58,9 +58,6 @@ f.bump.0.amplitude = 1.0
 f.bump.0.center = 0.5 0.5 0.5
 f.bump.0.width = 0.1
 u0.constant = 1.0
-"""
-
-BALL_AT_PEAK = """
 omega.type = ball
 omega.center = 0.5 0.5 0.5
 omega.radius = 0.2
@@ -441,7 +438,7 @@ class TestSupersolutionCommand:
         assert ubar.min() > 0.0
 
     @pytest.mark.parametrize("text, nulls", [
-        (NONPOSITIVE_PEAK + BALL_AT_PEAK, ["delta_hi"]),  # sup_Omega f = 0 at the bump's peak
+        (BALL_AT_ZERO_PEAK, ["delta_hi"]),  # sup_Omega f = 0
         (CONSTANT, ["lambda_d", "delta_hi"]),  # the empty Omega
     ], ids=["ball-at-peak", "empty-omega"])
     def test_infinite_fields_are_written_null(self, tmp_path, capsys, text, nulls):

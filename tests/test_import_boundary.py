@@ -37,7 +37,7 @@ def scipy_loaded(code: str, cwd: Path) -> bool:
         [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+    return proc.stdout.split()[-1] == "True"
 
 
 @pytest.mark.parametrize("module", ["yamabeflow", "yamabeflow.cli"])
