@@ -124,7 +124,7 @@ def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
     dt, evs = _check_window(bg, states)
     n = bg.n
     vol = bg.grid.cell_volume
-    vals = [_fsum(np.abs(ev.resid) ** p * ev.weight) * vol for ev in evs]
+    vals = [ev.sq if p == 2.0 else _fsum(np.abs(ev.resid) ** p * ev.weight) * vol for ev in evs]
     lhs = (vals[2] - vals[0]) / (2.0 * dt)
 
     resid, weight = evs[1].resid, evs[1].weight

@@ -104,32 +104,47 @@ class Trajectory:
     certificate: object | None = None
 
 
-def _residual_velocity(bg: Background, uv: np.ndarray, conf=None) -> tuple[np.ndarray, np.ndarray]:
-    resid = _curvature_values(bg, uv, conf) - bg.f.values
-    return resid, -0.25 * (bg.n - 2) * resid * uv
+class _Workspace:
+    """One ``run``'s scratch arrays: ``a``, ``b``, ``c`` for the stencil and a state's reductions,
+    ``stage`` and ``ks`` for an RK4 attempt's k2..k4.  Nothing a caller keeps lives here.  Seven
+    arrays, not one block: freeing a block past malloc's mmap threshold raises it process-wide."""
+
+    __slots__ = ("a", "b", "c", "stage", "ks")
+    def __init__(self, shape):
+        self.a, self.b, self.c, self.stage, *self.ks = (np.empty(shape) for _ in range(7))
+
+
+def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, resid=None, vel=None):
+    resid = _curvature_values(bg, uv, conf, resid)
+    resid -= bg.f.values
+    vel = np.multiply(-0.25 * (bg.n - 2), resid, out=vel)
+    vel *= uv
+    return resid, vel
 
 
 class _StateEval:
     """Everything the step loop and the window checks read from one state, from one ``R_g - f``.
 
-    ``L0 u`` is applied once: the curvature reads it, and so does the energy's
-    Dirichlet form ``u L0 u``, by summation by parts.  A state whose weight or
-    curvature overflows has a non-finite energy, ``residual_sup`` or ``sq``,
-    and raises ``ComputationFailure`` instead of a numpy warning.
+    ``L0 u`` is applied once: the curvature reads it, and so does the energy's Dirichlet form
+    ``u L0 u``, by summation by parts.  A state whose weight or curvature overflows has a
+    non-finite energy, ``residual_sup`` or ``sq``, and raises ``ComputationFailure`` instead of
+    a numpy warning.  ``L0 u`` and the reductions' temporaries live in the workspace ``ws``
+    (fresh when not given); ``resid``, ``weight`` and ``velocity`` are fresh arrays.
     """
 
     __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
 
-    def __init__(self, bg: Background, u: ScalarField):
+    def __init__(self, bg: Background, u: ScalarField, ws: _Workspace | None = None):
         uv = u.values
+        ws = ws if ws is not None else _Workspace(uv.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             self.weight = uv ** (bg.big_n + 1.0)
-            conf = _conformal_values(bg, uv)
+            conf = _conformal_values(bg, uv, ws.c, (ws.a, ws.b))
             self.energy = energy(bg, u, conf, self.weight)
             self.resid, self.velocity = _residual_velocity(bg, uv, conf)
-            del conf  # before the exact sum below, so that the state's peak memory does not grow
-            self.residual_sup = float(np.abs(self.resid).max())
-            self.sq = _fsum(self.resid * self.resid * self.weight) * bg.grid.cell_volume
+            self.residual_sup = float(np.abs(self.resid, out=ws.a).max())
+            sq = np.multiply(np.multiply(self.resid, self.resid, out=ws.a), self.weight, out=ws.a)
+            self.sq = _fsum(sq) * bg.grid.cell_volume
         self.min_u = float(uv.min())
         self.max_u = float(uv.max())
         if not all(map(math.isfinite, (self.energy, self.residual_sup, self.sq))):
@@ -181,22 +196,25 @@ def _admissible(arr: np.ndarray) -> bool:
     return bool(arr.min() > 0.0 and arr.max() < np.inf)
 
 
-def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray | None:
-    ks = [k1]
-    for c in (0.5, 0.5, 1.0):
-        s = uv + c * dt * ks[-1]
+def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float, ws) -> np.ndarray | None:
+    k2, k3, k4 = ws.ks
+    for c, k_prev, k in ((0.5, k1, k2), (0.5, k2, k3), (1.0, k3, k4)):
+        s = np.add(uv, np.multiply(c * dt, k_prev, out=ws.stage), out=ws.stage)
         if not _admissible(s):
             return None
-        ks.append(_residual_velocity(bg, s)[1])
-    k1, k2, k3, k4 = ks
-    out = uv + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _residual_velocity(bg, s, _conformal_values(bg, s, ws.c, (ws.a, ws.b)), ws.a, k)
+    acc = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+    acc += np.multiply(2.0, k3, out=k3)
+    acc += k4
+    out = uv + np.multiply(dt / 6.0, acc, out=acc)
     return out if _admissible(out) else None
 
 
-def step(bg: Background, state: FlowState, dt: float, ev: _StateEval | None = None) -> FlowState:
+def step(bg: Background, state: FlowState, dt: float, ev=None, ws=None) -> FlowState:
     """One RK4 step; rejects and halves dt (up to 40 times) on lost positivity.
 
     ``ev``, the evaluation of ``state`` if the caller holds it, gives stage k1.
+    Each attempt rewrites its stages in the workspace ``ws``; only the new ``u`` is fresh.
     """
     require_same_grid(bg, state.u)
     require_positive(state.u)
@@ -204,8 +222,9 @@ def step(bg: Background, state: FlowState, dt: float, ev: _StateEval | None = No
         raise ValueError(f"dt must be positive, got {dt}")
     uv = state.u.values
     k1 = ev.velocity if ev is not None else _residual_velocity(bg, uv)[1]
+    ws = ws if ws is not None else _Workspace(uv.shape)
     for _ in range(41):
-        out = _try_rk4(bg, uv, k1, dt)
+        out = _try_rk4(bg, uv, k1, dt, ws)
         if out is not None:
             return FlowState(ScalarField(bg.grid, out), state.t + dt, state.step + 1, dt)
         dt *= 0.5
@@ -258,7 +277,8 @@ def run(
     records: list[DiagnosticsRecord] = []
     rows = []
 
-    ev = _StateEval(bg, state.u)
+    ws = _Workspace(bg.grid.shape)
+    ev = _StateEval(bg, state.u, ws)
     outcome = None
     while True:
         rows.append((state.t, state.dt_last, ev.energy, ev.min_u, ev.max_u))
@@ -291,8 +311,8 @@ def run(
             dt = stable_dt(bg, state.u, cfg.cfl_fraction, ev)
         if state.t + dt > cfg.t_max:
             dt = cfg.t_max - state.t
-        new = step(bg, state, dt, ev)
-        new_ev = _StateEval(bg, new.u)
+        new = step(bg, state, dt, ev, ws)
+        new_ev = _StateEval(bg, new.u, ws)
         dissipation = state.dissipation_cum + 0.5 * (new.t - state.t) * (ev.sq + new_ev.sq)
         counters = state.records_written, state.last_record_step  # the constructor beats replace()
         state, ev = FlowState(new.u, new.t, new.step, new.dt_last, dissipation, *counters), new_ev

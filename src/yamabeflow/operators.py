@@ -73,17 +73,17 @@ def require_positive(u: ScalarField, what: str = "u"):
         )
 
 
-def _periodic_diff(v: np.ndarray, axis: int, backward: bool = False, op=np.subtract) -> np.ndarray:
+def _periodic_diff(v: np.ndarray, axis: int, backward=False, op=np.subtract, out=None) -> np.ndarray:
     """``op(v[i+1], v[i])`` at each i of the periodic ``axis``, or at i+1 when ``backward``.
 
-    So the forward difference by default, the backward one ``v[i] - v[i-1]``
-    with ``backward``, and the face sum with ``op=np.add``.  One contiguous
-    ``op`` over the flat array pairs each point with the one a stride ahead;
-    then the wrap face, where that pairing runs into the next row, is redone.
-    Every entry is the one IEEE operation of the ``np.roll`` form, bit for bit.
+    So the forward difference by default, the backward one ``v[i] - v[i-1]`` with ``backward``,
+    and the face sum with ``op=np.add``.  One contiguous ``op`` over the flat array pairs each
+    point with the one a stride ahead; then the wrap face, where that pairing runs into the next
+    row, is redone.  Every entry is the one IEEE operation of the ``np.roll`` form, bit for bit.
+    ``out``, C-contiguous and not ``v``, receives the result when given.
     """
     v = np.ascontiguousarray(v)
-    out = np.empty_like(v)
+    out = np.empty_like(v) if out is None else out
     s = math.prod(v.shape[axis + 1 :])
     flat, flat_out = v.ravel(), out.ravel()
     op(flat[s:], flat[:-s], out=flat_out[s:] if backward else flat_out[:-s])
@@ -92,20 +92,30 @@ def _periodic_diff(v: np.ndarray, axis: int, backward: bool = False, op=np.subtr
     return out
 
 
-def _laplacian_values(v: np.ndarray, spacings) -> np.ndarray:
-    out = np.zeros_like(v)
+def _laplacian_values(v: np.ndarray, spacings, out=None, scratch=None) -> np.ndarray:
+    """Flat Laplacian of ``v`` into ``out``; ``scratch``, a C-contiguous pair of arrays of ``v``'s
+    shape, holds the differences and nothing a caller keeps.  Both are fresh when not given."""
+    fwd, bwd = scratch if scratch is not None else np.empty((2, *v.shape), v.dtype)
+    out = np.empty_like(v) if out is None else out
+    out.fill(0.0)
     for axis, h in enumerate(spacings):
-        out += _periodic_diff(_periodic_diff(v, axis), axis, backward=True) / (h * h)
+        _periodic_diff(_periodic_diff(v, axis, out=fwd), axis, backward=True, out=bwd)
+        out += np.divide(bwd, h * h, out=bwd)
     return out
 
 
-def _conformal_values(bg: Background, v: np.ndarray) -> np.ndarray:
-    return -bg.c_n * _laplacian_values(v, bg.grid.spacings) + bg.r0.values * v
+def _conformal_values(bg: Background, v: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    out = _laplacian_values(v, bg.grid.spacings, out, scratch)
+    out *= -bg.c_n
+    out += np.multiply(bg.r0.values, v, out=None if scratch is None else scratch[0])
+    return out
 
 
-def _curvature_values(bg: Background, uv: np.ndarray, conf=None) -> np.ndarray:
-    # ``conf``: ``L0 u``, when the caller holds it.
-    return uv ** (-bg.big_n) * (conf if conf is not None else _conformal_values(bg, uv))
+def _curvature_values(bg: Background, uv: np.ndarray, conf=None, out=None) -> np.ndarray:
+    # ``conf``: ``L0 u``, when the caller holds it; ``out`` receives the result.
+    out = np.power(uv, -bg.big_n, out=out)
+    out *= conf if conf is not None else _conformal_values(bg, uv)
+    return out
 
 
 def laplacian(w: ScalarField) -> ScalarField:

@@ -87,8 +87,10 @@ def test_zero_pairs_is_a_usage_error(tmp_path, stubbed, capsys):
 
 
 def test_bench_keeps_where_the_time_went(monkeypatch, tmp_path):
-    """Beside the result, a run keeps its digests, import and set-up times, first and median wall."""
-    detail = {"walls_s": [0.9, 0.2, 0.4, 0.3], "import_runs_s": [0.3, 0.1, 0.2],
+    """Beside the result, a run keeps its digests, import and set-up times, first and median
+    wall, and the median reference-kernel time that ``wall_rel`` divides by."""
+    detail = {"walls_s": [0.9, 0.2, 0.4, 0.3], "refs_s": [0.16, 0.12, 0.15, 0.11],
+              "import_runs_s": [0.3, 0.1, 0.2],
               "setup_runs_s": [0.5, 0.01, 0.02], "digests": {"final.u.yflo": "ab"}, "reps": 4}
     result = {"metrics": {"wall_rel": {"value": 1.0}}}
     stdout = "\n".join(["noise", json.dumps({"detail": detail}), json.dumps(result)])
@@ -104,4 +106,5 @@ def test_bench_keeps_where_the_time_went(monkeypatch, tmp_path):
                        "--trace", "0"], tmp_path)]
     assert got == result
     assert kept == {"digests": {"final.u.yflo": "ab"}, "import_runs_s": [0.3, 0.1, 0.2],
-                    "setup_runs_s": [0.5, 0.01, 0.02], "wall_first_s": 0.9, "wall_median_s": 0.35}
+                    "setup_runs_s": [0.5, 0.01, 0.02], "wall_first_s": 0.9, "wall_median_s": 0.35,
+                    "ref_median_s": 0.135}

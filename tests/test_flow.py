@@ -92,6 +92,11 @@ class TestStep:
         out = yf.step(bg, state, 1.0)
         assert out.dt_last < 1.0
         assert out.u.min() > 0.0
+        # Seven rejected attempts leave their stages behind; the accepted one reads none of them.
+        assert out.dt_last.hex() == "0x1.0000000000000p-7"
+        assert hashlib.sha256(out.u.values.tobytes()).hexdigest() == (
+            "80baf1d9b7170f76a2b120c0bdce8ebeefa2e40530fff37d9ea455ed9d74776e"
+        )
 
     def test_collapse_raises_with_state(self, grid8):
         bg = constant_background(grid8, r0=-1.0, f=-1e12)
@@ -225,6 +230,35 @@ class TestStateEval:
     def test_admissible_accepts_positive_finite(self):
         arr = 1e-300 + np.random.default_rng(6).random((4, 5, 6))
         assert flowmod._admissible(arr) is True
+
+
+class TestNoBufferEscapes:
+    def test_kept_arrays_are_never_rewritten_or_shared(self, grid8, monkeypatch):
+        """Each checkpointed u and each evaluation's arrays keep their bytes and share no memory."""
+        bg = trapped_bump_background(8)
+        u0 = yf.ScalarField(grid8, 1.0 + 0.1 * np.random.default_rng(13).random(grid8.shape))
+        kept, evs = [], []
+        state_eval = flowmod._StateEval
+
+        def digest(arr):
+            return hashlib.sha256(arr.tobytes()).hexdigest()
+
+        def recorded_eval(*args):
+            ev = state_eval(*args)
+            arrays = (ev.resid, ev.weight, ev.velocity)
+            evs.append((arrays, [digest(a) for a in arrays]))
+            return ev
+
+        monkeypatch.setattr(flowmod, "_StateEval", recorded_eval)
+        cb = lambda state: kept.append((state.u.values, digest(state.u.values)))  # noqa: E731
+        yf.run(bg, u0, yf.FlowConfig(max_steps=12, record_every=5), on_checkpoint=cb)
+        assert (len(kept), len(evs)) == (11, 13)
+        assert all(digest(u) == d for u, d in kept)
+        assert all(list(map(digest, arrays)) == ds for arrays, ds in evs)
+        us = [u for u, _ in kept]
+        assert not any(np.shares_memory(a, b) for a, b in zip(us, us[1:]))
+        arrays = [a for arrays, _ in evs for a in arrays]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
 
 
 class TestDigests:

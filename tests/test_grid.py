@@ -348,8 +348,19 @@ class TestExactSum:
             ([1.0, 2.0**-53], 1.0),
             ([1.0, 2.0**-53, 2.0**-1000], 1.0 + 2.0**-52),
             ([5e-324, 5e-324], 1e-323),
+            # The total lies 2**-103 below the midpoint of 1 + 7 * 2**-52 and 1 + 8 * 2**-52,
+            # and the rounded remainder sum is 2**-99.8 too large: err = 2**-92 covers that and
+            # falls back, an err ten bits smaller (2**(k - 115)) would certify 1 + 8 * 2**-52.
+            (
+                [float.fromhex(x) for x in (
+                    "0x1.0000000000000p+0", "-0x1.a0189fc147a78p-48", "-0x1.10fdc880e180bp-51",
+                    "-0x1.ca561e539d34dp-51", "-0x1.0c8c8bc937d7ep-50", "-0x1.99cd240008e26p-50",
+                    "-0x1.1181c4d455c71p-51", "0x1.9fa4e0945932dp-47",
+                )],
+                float.fromhex("0x1.0000000000007p+0"),
+            ),
         ],
-        ids=["tie_to_even", "tie_broken_by_tiny", "subnormal"],
+        ids=["tie_to_even", "tie_broken_by_tiny", "subnormal", "near_tie_within_err"],
     )
     def test_fixed_sums(self, values, expected):
         a = np.array(values)

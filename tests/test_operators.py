@@ -5,6 +5,7 @@ import yamabeflow as yf
 from yamabeflow.errors import PositivityError
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import (
+    _conformal_values,
     _laplacian_g_values,
     _laplacian_values,
     _periodic_diff,
@@ -257,6 +258,18 @@ def test_stencils_bitwise_equal_reference_forms(grid):
     u = 1.0 + 0.5 * rng.random(grid.shape)
     assert np.array_equal(_laplacian_values(w, grid.spacings), _reference_laplacian(w, grid.spacings))
     assert np.array_equal(_laplacian_g_values(bg, u, w), _reference_laplacian_g(bg, u, w))
+
+
+@STENCIL_GRIDS
+def test_reused_buffers_give_the_fresh_bits(grid):
+    """Two fields through one ``out`` and scratch pair, both first filled with NaN."""
+    rng = np.random.default_rng(19)
+    bg = constant_background(grid, r0=-1.5)
+    out, scratch = np.full(grid.shape, np.nan), np.full((2, *grid.shape), np.nan)
+    for v in (1.0 + 0.5 * rng.random(grid.shape), rng.standard_normal(grid.shape)):
+        got = _conformal_values(bg, v, out, scratch)
+        assert got is out
+        assert got.tobytes() == _conformal_values(bg, v).tobytes()
 
 
 @STENCIL_GRIDS

@@ -13,8 +13,10 @@ last stdout line (the result object) is written, tagged with its workload,
 pair, side and the side that ran first, together with what the line before
 it says about where the time went (the output digests, the fresh-interpreter
 import times ``import_runs_s``, the workload set-up times ``setup_runs_s``,
-the first repetition's wall time ``wall_first_s`` and the median wall time
-``wall_median_s``), and the per-side median and quartiles of every metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
+the first repetition's wall time ``wall_first_s``, the median wall time
+``wall_median_s`` and, beside it, the median reference-kernel time
+``ref_median_s``, so that a change of ``wall_rel`` shows whether the workload
+or the reference moved), and the per-side median and quartiles of every metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
 numpy's default interpolation; the spread between them is what decides
 whether a difference of medians is resolved.  Standard library only.
 """
@@ -60,6 +62,7 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
     kept = {key: detail[key] for key in ("digests", "import_runs_s", "setup_runs_s")}
     kept["wall_first_s"] = detail["walls_s"][0]  # the repetition that pays first-call costs
     kept["wall_median_s"] = statistics.median(detail["walls_s"])
+    kept["ref_median_s"] = statistics.median(detail["refs_s"])
     return json.loads(lines[-1]), kept
 
 
