@@ -95,7 +95,7 @@ def _periodic_diff(v: np.ndarray, axis: int, backward=False, op=np.subtract, out
 def _laplacian_values(v: np.ndarray, spacings, out=None, scratch=None) -> np.ndarray:
     """Flat Laplacian of ``v`` into ``out``; ``scratch``, a C-contiguous pair of arrays of ``v``'s
     shape, holds the differences and nothing a caller keeps.  Both are fresh when not given."""
-    fwd, bwd = scratch if scratch is not None else np.empty((2, *v.shape), v.dtype)
+    fwd, bwd = scratch if scratch is not None else (np.empty(v.shape, v.dtype) for _ in range(2))
     out = np.empty_like(v) if out is None else out
     out.fill(0.0)
     for axis, h in enumerate(spacings):
