@@ -249,9 +249,11 @@ class TestNoBufferEscapes:
             evs.append((arrays, [digest(a) for a in arrays]))
             return ev
 
+        def checkpoint(state):
+            kept.append((state.u.values, digest(state.u.values)))
+
         monkeypatch.setattr(flowmod, "_StateEval", recorded_eval)
-        cb = lambda state: kept.append((state.u.values, digest(state.u.values)))  # noqa: E731
-        yf.run(bg, u0, yf.FlowConfig(max_steps=12, record_every=5), on_checkpoint=cb)
+        yf.run(bg, u0, yf.FlowConfig(max_steps=12, record_every=5), on_checkpoint=checkpoint)
         assert (len(kept), len(evs)) == (11, 13)
         assert all(digest(u) == d for u, d in kept)
         assert all(list(map(digest, arrays)) == ds for arrays, ds in evs)
