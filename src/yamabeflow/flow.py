@@ -82,6 +82,8 @@ class FlowConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
 
     def resolve_orders(self, n: int) -> tuple[float, ...]:
         """The Lp ladder of the convergence proof: 2, n/2 and n^2/(2(n-2)), 2 first."""
@@ -153,6 +155,11 @@ class _StateEval:
                 f"{self.energy:g}, residual_sup {self.residual_sup:g}, L2 moment {self.sq:g}"
             )
 
+    def moments(self, orders, vol: float) -> dict[float, float]:
+        """``{p: int |R_g - f|^p dV_g}`` over ``orders``, ``vol`` the cell volume; 2 is ``sq``."""
+        abs_resid = np.abs(self.resid) if set(orders) - {2.0} else None
+        return {p: self.sq if p == 2.0 else _fsum(abs_resid**p * self.weight) * vol for p in orders}
+
 
 def velocity(bg: Background, u: ScalarField) -> ScalarField:
     """Pointwise flow velocity ``-((n-2)/4) (R_g - f) u``."""
@@ -218,8 +225,8 @@ def step(bg: Background, state: FlowState, dt: float, ev=None, ws=None) -> FlowS
     """
     require_same_grid(bg, state.u)
     require_positive(state.u)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     uv = state.u.values
     k1 = ev.velocity if ev is not None else _residual_velocity(bg, uv)[1]
     ws = ws if ws is not None else _Workspace(uv.shape)
@@ -235,9 +242,7 @@ def step(bg: Background, state: FlowState, dt: float, ev=None, ws=None) -> FlowS
 
 def _make_record(bg: Background, state: FlowState, ev: _StateEval, orders) -> DiagnosticsRecord:
     vol = bg.grid.cell_volume
-    abs_resid = np.abs(ev.resid)
-    # The ladder starts at 2, whose moment the state already holds: ev.sq.
-    residual_lp = {2.0: ev.sq} | {p: _fsum(abs_resid**p * ev.weight) * vol for p in orders[1:]}
+    residual_lp = ev.moments(orders, vol)
     return DiagnosticsRecord(
         t=state.t,
         dt=state.dt_last,
@@ -283,7 +288,6 @@ def run(
     while True:
         rows.append((state.t, state.dt_last, ev.energy, ev.min_u, ev.max_u))
 
-        due = state.step % cfg.record_every == 0 and state.step > state.last_record_step
         if ev.residual_sup <= cfg.residual_stop:
             outcome = "converged"
         elif state.t >= cfg.t_max:
@@ -292,7 +296,7 @@ def run(
             outcome = "timeout"
         elif ev.max_u >= cfg.blowup_ceiling:
             outcome = "blow-up"
-        if due or (outcome is not None and state.step > state.last_record_step):
+        if state.step > state.last_record_step and (state.step % cfg.record_every == 0 or outcome):
             rec = _make_record(bg, state, ev, orders)
             records.append(rec)
             state = replace(

@@ -50,6 +50,42 @@ def trapped_bump_background(size=16):
     return yf.Background(grid, yf.ScalarField.constant(grid, -1.0), f)
 
 
+def evolution_window(size, dt, nburn):
+    """The background and three equally spaced states of acceptance 08's evolution window.
+
+    R0 = -1 and f = -1 + a 0.5 bump of width 0.15 on the unit torus; u0 is 1 plus a 0.1 bump
+    of width 0.2; the window is steps ``nburn`` to ``nburn + 2`` of ``dt``.
+    """
+    grid = unit_grid(size)
+    f = yf.ScalarField(grid, -1.0 + periodic_gaussian(grid, (0.5, 0.5, 0.5), 0.15, 0.5))
+    bg = yf.Background(grid, yf.ScalarField.constant(grid, -1.0), f)
+    u0 = yf.ScalarField(grid, 1.0 + periodic_gaussian(grid, (0.5, 0.5, 0.5), 0.2, 0.1))
+    state = yf.flow.FlowState(u0, 0.0, 0, 0.0)
+    for _ in range(nburn):
+        state = yf.step(bg, state, dt)
+    states = [state]
+    for _ in range(2):
+        states.append(yf.step(bg, states[-1], dt))
+    return bg, states
+
+
+def manufactured_background(n, size):
+    """A background whose stationary solution is known in closed form, and that solution u*.
+
+    On the torus of side 4 with ``size`` points per axis, u* = 1 + 0.1 prod_i cos(2 pi x_i / 4),
+    R0 = -10 and f* = u*^(-N) (-c_n Lap u* + R0 u*), with Lap u* = -n (pi/2)^2 (u* - 1).  So u*
+    solves the continuum stationary equation exactly, and f* < 0 makes it the unique stable limit.
+    """
+    grid = yf.GridSpec(n, (size,) * n, (4.0,) * n)
+    bump = 0.1 * np.prod([np.cos(0.5 * np.pi * x) for x in grid.meshgrid()], axis=0)
+    u_star = 1.0 + bump
+    r0 = yf.ScalarField.constant(grid, -10.0)
+    lap = -n * (0.5 * np.pi) ** 2 * bump
+    c_n, big_n = 4.0 * (n - 1) / (n - 2), (n + 2.0) / (n - 2.0)
+    f = u_star ** (-big_n) * (-c_n * lap - 10.0 * u_star)
+    return yf.Background(grid, r0, yf.ScalarField(grid, f)), yf.ScalarField(grid, u_star)
+
+
 def slab_background(f_omega):
     """R0 = -1 on a 32 x 8 x 8 grid with h = 1; f = -1 off the 6-cell slab Omega, f_omega on it.
 

@@ -78,6 +78,25 @@ def test_quartiles_are_taken_per_side(tmp_path, stubbed, pairs, parent, change):
     }
 
 
+def test_digests_that_differ_by_side_do_not_agree(tmp_path, stubbed):
+    """The stub's digests name the side that ran, so parent and change disagree."""
+    assert _main(tmp_path, 2)["digests_agree"] == {"w": False}
+
+
+@pytest.mark.parametrize("third", ["same", "moved"])
+def test_digests_agree_when_every_run_matches(tmp_path, stubbed, monkeypatch, third):
+    """One run whose digests moved, here the change side of pair 1, is enough to disagree."""
+    stub = bench_pairs.bench
+
+    def bench(tree, workload, seed, seconds):
+        result, kept = stub(tree, workload, seed, seconds)
+        digest = third if len(stubbed) == 3 else "same"
+        return result, {**kept, "digests": {"final.u.yflo": digest}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert _main(tmp_path, 3)["digests_agree"] == {"w": third == "same"}
+
+
 def test_zero_pairs_is_a_usage_error(tmp_path, stubbed, capsys):
     with pytest.raises(SystemExit) as info:
         _main(tmp_path, 0)

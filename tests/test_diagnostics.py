@@ -11,7 +11,7 @@ from yamabeflow.errors import ComputationFailure, GridMismatchError
 from yamabeflow.flow import DiagnosticsRecord, FlowState, Trajectory
 from yamabeflow.grid import SubdomainMask
 
-from conftest import constant_background, trapped_bump_background, unit_grid
+from conftest import constant_background, evolution_window, trapped_bump_background, unit_grid
 
 
 def make_records(ts, energies=None, max_us=None, lp=None, diss=None):
@@ -146,6 +146,34 @@ class TestLemmaBalance:
         u = yf.ScalarField.constant(grid8, 1.0)
         states = [FlowState(u, 0.1 * i, i, 0.1) for i in range(3)]
         assert yf.lemma_p_balance_error(bg, states) == 0.0
+
+    @pytest.mark.parametrize("p", [3.0, 4.5])
+    def test_balance_above_two_refines(self, p):
+        """On acceptance 08's window family the p-moment balance holds to 2% at 16^3, refining.
+
+        p = 3 reads 4.0% at 8^3 and 1.10% at 16^3; p = 4.5 reads 6.1% and 1.42%.
+        """
+        coarse = yf.lemma_p_balance_error(*evolution_window(8, 4e-4, 25), p=p)
+        fine = yf.lemma_p_balance_error(*evolution_window(16, 1e-4, 100), p=p)
+        assert fine <= 0.02
+        assert coarse >= 3.0 * fine, (coarse, fine)
+
+    def test_sums_the_end_states_moments_only(self, grid8, monkeypatch):
+        """The time derivative reads the moments of the first and last state, one order each."""
+        bg = trapped_bump_background(8)
+        states = [FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)]
+        for _ in range(2):
+            states.append(yf.step(bg, states[-1], 1e-4))
+        calls = []
+        moments = flow._StateEval.moments
+
+        def counted_moments(ev, orders, vol):
+            calls.append(tuple(orders))
+            return moments(ev, orders, vol)
+
+        monkeypatch.setattr(flow._StateEval, "moments", counted_moments)
+        yf.lemma_p_balance_error(bg, states, p=3.0)
+        assert calls == [(3.0,), (3.0,)]
 
     def test_rejects_infinite_p(self, grid8):
         bg = trapped_bump_background(8)

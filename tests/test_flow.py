@@ -1,4 +1,5 @@
 import hashlib
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,12 @@ from yamabeflow.flow import FlowState
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import _curvature_values
 
-from conftest import constant_background, trapped_bump_background, unit_grid
+from conftest import (
+    constant_background,
+    manufactured_background,
+    trapped_bump_background,
+    unit_grid,
+)
 
 
 def scalar_oracle(r0, f, u0, t_eval):
@@ -105,11 +111,13 @@ class TestStep:
             yf.step(bg, state, 1e30)
         assert exc.value.state is state
 
-    def test_rejects_nonpositive_dt(self, grid8):
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_dt(self, grid8, dt):
+        """A NaN or infinite dt is a caller's error, not 41 attempts and a positivity collapse."""
         bg = constant_background(grid8)
         state = FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)
-        with pytest.raises(ValueError):
-            yf.step(bg, state, 0.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            yf.step(bg, state, dt)
 
 
 class TestRunAgainstScalarOracle:
@@ -183,6 +191,15 @@ class TestRunOutcomes:
         # Records at steps 0, 10, 20 plus the stopping step 25.
         assert len(traj.records) == 4
         assert traj.records[-1].t == traj.final.t
+
+    @pytest.mark.parametrize("max_steps, steps", [(20, [0, 10, 20]), (0, [0])])
+    def test_a_stopping_step_is_recorded_once(self, grid8, max_steps, steps):
+        """A stopping step on the cadence, or at step 0, gives one record, not two."""
+        bg = constant_background(grid8, r0=-2.0, f=-1.0)
+        cfg = yf.FlowConfig(max_steps=max_steps, record_every=10)
+        traj = yf.run(bg, yf.ScalarField.constant(grid8, 1.0), cfg)
+        assert [traj.step_t.index(r.t) for r in traj.records] == steps
+        assert traj.final.records_written == len(steps)
 
 
 class TestEvaluationCount:
@@ -407,6 +424,8 @@ class TestResumeCarry:
             yf.FlowConfig(record_every=0)
         with pytest.raises(ValueError):
             yf.FlowConfig(fixed_dt=-1.0)
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            yf.FlowConfig(max_steps=-3)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -428,3 +447,21 @@ class TestResumeCarry:
     def test_default_lp_orders_distinct_in_4d(self):
         """At n = 4 the orders 2 and n/2 coincide; the ladder keeps one of them."""
         assert yf.FlowConfig().resolve_orders(4) == (2.0, 4.0)
+
+
+class TestManufacturedSolution:
+    @pytest.mark.parametrize("n, coarse, fine", [(3, 8, 16), (4, 6, 12), (5, 4, 8)])
+    def test_limit_converges_to_u_star_at_second_order(self, n, coarse, fine):
+        """The flow's limit approaches the closed-form stationary u* at O(h^2) in n = 3, 4 and 5.
+
+        max|u_inf - u*| goes 4.13e-3 -> 1.01e-3 (n = 3), 8.88e-3 -> 2.09e-3 (n = 4) and
+        2.48e-2 -> 5.20e-3 (n = 5): orders 2.04, 2.08 and 2.25 against the bound 1.9.
+        """
+        errs = []
+        for size in (coarse, fine):
+            bg, u_star = manufactured_background(n, size)
+            cfg = yf.FlowConfig(residual_stop=1e-10)
+            traj = yf.run(bg, yf.ScalarField.constant(bg.grid, 1.0), cfg)
+            assert traj.outcome == "converged"
+            errs.append(float(np.abs(traj.final.u.values - u_star.values).max()))
+        assert math.log2(errs[0] / errs[1]) >= 1.9, errs

@@ -18,7 +18,9 @@ the first repetition's wall time ``wall_first_s``, the median wall time
 ``ref_median_s``, so that a change of ``wall_rel`` shows whether the workload
 or the reference moved), and the per-side median and quartiles of every metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
 numpy's default interpolation; the spread between them is what decides
-whether a difference of medians is resolved.  Standard library only.
+whether a difference of medians is resolved.  ``digests_agree`` says, per
+workload, whether every run on both sides reported the same output digests,
+which is what a change meant to be bit-identical must show.  Standard library only.
 """
 
 from __future__ import annotations
@@ -88,6 +90,14 @@ def per_side(runs: list[dict], stat) -> dict:
     return out
 
 
+def digests_agree(runs: list[dict]) -> dict[str, bool]:
+    """Per workload, whether all its runs, parent and change alike, reported one set of digests."""
+    seen: dict = {}
+    for run in runs:
+        seen.setdefault(run["workload"], []).append(run["digests"])
+    return {workload: all(d == digests[0] for d in digests) for workload, digests in seen.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -122,6 +132,7 @@ def main(argv=None) -> int:
                   + (" with uncommitted changes" if git("status", "--porcelain") else ""),
         "medians": per_side(runs, statistics.median),
         "quartiles": per_side(runs, quartiles),
+        "digests_agree": digests_agree(runs),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
