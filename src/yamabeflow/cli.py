@@ -102,7 +102,7 @@ def _run_loop(scn, args, start=None, csv_prefix=None) -> int:
     """The flow loop and the one CSV writer; ``resume`` passes start and csv_prefix."""
     cfg = dataclasses.replace(scn.flow, **(args.until or {}))
     out = _out_dir(args)
-    orders = cfg.resolve_orders(scn.grid.n)
+    orders = flowmod.FlowConfig.resolve_orders(scn.grid.n)
     if start is None:
         snapshots.remove_checkpoint(out)
         csv_prefix = [_csv_header(orders)]
@@ -143,7 +143,7 @@ def cmd_resume(scn, args) -> int:
     if (last, n) != (s // k * k, s // k + 1):  # records fall on step 0 and each multiple of k
         raise ScenarioError(f"checkpoint at step {s} ({n} records, the last at step {last}) "
                             f"does not fit flow.record_every = {k}")
-    if lines[:1] != [_csv_header(cfg.resolve_orders(scn.grid.n))]:
+    if lines[:1] != [_csv_header(flowmod.FlowConfig.resolve_orders(scn.grid.n))]:
         raise ScenarioError(f"the header of {CSV_NAME} is not the one a run writes")
     if len(lines) < 1 + n:
         raise ScenarioError(f"{CSV_NAME} holds {len(lines[1:])} records, the checkpoint {n}")

@@ -116,8 +116,9 @@ def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
 
     Checks ``d/dt int |R_g - f|^p dV_g`` against the dissipation/reaction
     split, with the gradient term taken by summation by parts.
-    ``p < 2`` is rejected when ``|R_g - f|`` nearly vanishes somewhere,
-    since ``|x|^(p/2)`` is then too rough for stable quadrature.
+    ``p < 2`` is rejected when the middle state's ``R_g - f`` changes sign or
+    nearly vanishes somewhere, since ``|x|^(p/2)`` then has a kink that the
+    quadrature does not resolve.
     """
     if not 1.0 < p < math.inf:
         raise ValueError(f"p must be > 1 and finite, got {p}")
@@ -127,11 +128,12 @@ def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
     lhs = (evs[2].moments((p,), vol)[p] - evs[0].moments((p,), vol)[p]) / (2.0 * dt)
 
     resid, weight = evs[1].resid, evs[1].weight
-    abs_resid = np.abs(resid)
     if p < 2.0:
-        scale = float(abs_resid.max())
-        if scale == 0.0 or float(abs_resid.min()) < 1e-8 * scale:
-            raise ValueError(f"p={p} < 2 rejected: |R_g - f| is nearly degenerate somewhere")
+        lo, hi = float(resid.min()), float(resid.max())
+        if not (0.0 < lo >= 1e-8 * hi or 1e-8 * lo >= hi < 0.0):  # one sign, bounded from 0
+            raise ValueError(f"p={p} < 2 rejected: R_g - f runs from {lo:g} to {hi:g}, so "
+                             f"|R_g - f|^(p/2) has a kink")
+    abs_resid = np.abs(resid)
     # At p = 2 the half-power is |resid| itself; differentiate the signed
     # residual instead, which has the same gradient a.e. but no kink.
     w = resid if p == 2.0 else abs_resid ** (p / 2.0)

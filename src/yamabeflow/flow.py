@@ -18,8 +18,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ComputationFailure, PositivityCollapseError
-from .grid import ScalarField, _fsum, require_same_grid
-from .operators import Background, _conformal_values, _curvature_values, energy, require_positive
+from .grid import GridSpec, ScalarField, _fsum, require_same_grid
+from .operators import (
+    Background,
+    _conformal_values,
+    _curvature_values,
+    _StencilPlan,
+    energy,
+    require_positive,
+)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -85,7 +92,8 @@ class FlowConfig:
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
 
-    def resolve_orders(self, n: int) -> tuple[float, ...]:
+    @staticmethod
+    def resolve_orders(n: int) -> tuple[float, ...]:
         """The Lp ladder of the convergence proof: 2, n/2 and n^2/(2(n-2)), 2 first."""
         return tuple(dict.fromkeys((2.0, n / 2.0, n * n / (2.0 * (n - 2.0)))))  # n = 4: 2, 2, 4
 
@@ -108,12 +116,14 @@ class Trajectory:
 
 class _Workspace:
     """One ``run``'s scratch arrays: ``a``, ``b``, ``c`` for the stencil and a state's reductions,
-    ``stage`` and ``ks`` for an RK4 attempt's k2..k4.  Nothing a caller keeps lives here.  Seven
-    arrays, not one block: freeing a block past malloc's mmap threshold raises it process-wide."""
+    ``stage`` and ``ks`` for an RK4 attempt's k2..k4, and the stencil's ``plan`` over ``a`` and
+    ``b``.  Nothing a caller keeps lives here.  Seven arrays, not one block: freeing a block past
+    malloc's mmap threshold raises it process-wide."""
 
-    __slots__ = ("a", "b", "c", "stage", "ks")
-    def __init__(self, shape):
-        self.a, self.b, self.c, self.stage, *self.ks = (np.empty(shape) for _ in range(7))
+    __slots__ = ("a", "b", "c", "stage", "ks", "plan")
+    def __init__(self, grid: GridSpec):
+        self.a, self.b, self.c, self.stage, *self.ks = (np.empty(grid.shape) for _ in range(7))
+        self.plan = _StencilPlan(grid, (self.a, self.b))
 
 
 def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, resid=None, vel=None):
@@ -138,17 +148,17 @@ class _StateEval:
 
     def __init__(self, bg: Background, u: ScalarField, ws: _Workspace | None = None):
         uv = u.values
-        ws = ws if ws is not None else _Workspace(uv.shape)
+        ws = ws if ws is not None else _Workspace(bg.grid)
         with np.errstate(over="ignore", invalid="ignore"):
             self.weight = uv ** (bg.big_n + 1.0)
-            conf = _conformal_values(bg, uv, ws.c, (ws.a, ws.b))
+            conf = _conformal_values(bg, uv, ws.c, ws.plan)
             self.energy = energy(bg, u, conf, self.weight)
             self.resid, self.velocity = _residual_velocity(bg, uv, conf)
-            self.residual_sup = float(np.abs(self.resid, out=ws.a).max())
+            self.residual_sup = float(np.maximum.reduce(np.abs(self.resid, out=ws.a), None))
             sq = np.multiply(np.multiply(self.resid, self.resid, out=ws.a), self.weight, out=ws.a)
             self.sq = _fsum(sq) * bg.grid.cell_volume
-        self.min_u = float(uv.min())
-        self.max_u = float(uv.max())
+        self.min_u = float(np.minimum.reduce(uv, None))
+        self.max_u = float(np.maximum.reduce(uv, None))
         if not all(map(math.isfinite, (self.energy, self.residual_sup, self.sq))):
             raise ComputationFailure(
                 f"non-finite state at min u = {self.min_u:g}, max u = {self.max_u:g}: energy "
@@ -200,7 +210,7 @@ def stable_dt(
 
 def _admissible(arr: np.ndarray) -> bool:
     # Positive and finite; NaN fails the first comparison.
-    return bool(arr.min() > 0.0 and arr.max() < np.inf)
+    return bool(np.minimum.reduce(arr, None) > 0.0 and np.maximum.reduce(arr, None) < math.inf)
 
 
 def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float, ws) -> np.ndarray | None:
@@ -209,7 +219,7 @@ def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float, ws) -> n
         s = np.add(uv, np.multiply(c * dt, k_prev, out=ws.stage), out=ws.stage)
         if not _admissible(s):
             return None
-        _residual_velocity(bg, s, _conformal_values(bg, s, ws.c, (ws.a, ws.b)), ws.a, k)
+        _residual_velocity(bg, s, _conformal_values(bg, s, ws.c, ws.plan), ws.a, k)
     acc = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
     acc += np.multiply(2.0, k3, out=k3)
     acc += k4
@@ -229,7 +239,7 @@ def step(bg: Background, state: FlowState, dt: float, ev=None, ws=None) -> FlowS
         raise ValueError(f"dt must be positive and finite, got {dt}")
     uv = state.u.values
     k1 = ev.velocity if ev is not None else _residual_velocity(bg, uv)[1]
-    ws = ws if ws is not None else _Workspace(uv.shape)
+    ws = ws if ws is not None else _Workspace(bg.grid)
     for _ in range(41):
         out = _try_rk4(bg, uv, k1, dt, ws)
         if out is not None:
@@ -277,12 +287,12 @@ def run(
     require_positive(u0, "u0")
     if start is not None:
         require_same_grid(bg, start.u)
-    orders = cfg.resolve_orders(bg.n)
+    orders = FlowConfig.resolve_orders(bg.n)
     state = start if start is not None else FlowState(u0, 0.0, 0, 0.0)
     records: list[DiagnosticsRecord] = []
     rows = []
 
-    ws = _Workspace(bg.grid.shape)
+    ws = _Workspace(bg.grid)
     ev = _StateEval(bg, state.u, ws)
     outcome = None
     while True:

@@ -182,14 +182,15 @@ def _fsum(values: np.ndarray) -> float:
     # float, an exact zero (whose sign it decides) and a total within err of a rounding
     # boundary.  +inf beside -inf sums to NaN, as in IEEE addition, where math.fsum raises.
     v = np.asarray(values, dtype=np.float64).ravel(order="C")
-    m = max(-v.min(), v.max()) if 0 < v.size <= 1 << 26 else math.nan
+    in_range = 0 < v.size <= 1 << 26
+    m = max(-np.minimum.reduce(v, None), np.maximum.reduce(v, None)) if in_range else math.nan
     k = math.frexp(m)[1] + v.size.bit_length() + 2 if 0.0 < m < math.inf else 1024
     if -1022 <= k <= 1023:  # sigma is a finite normal float
         sigma = math.ldexp(1.0, k)
         q = v + sigma
         q -= sigma
-        s1 = float(q.sum())
-        s2 = float(np.subtract(v, q, out=q).sum())
+        s1 = float(np.add.reduce(q, None))
+        s2 = float(np.add.reduce(np.subtract(v, q, out=q), None))
         err = math.ldexp(v.size**2, k - 105)
         total = math.fsum((s1, s2, err))
         if total and total == math.fsum((s1, s2, -err)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,22 +51,23 @@ class Background:
                 f"at flat index {flat} {multi}"
             )
 
-    @property
+    # Read on every stage of every step, so each is computed once per background.
+    @cached_property
     def n(self) -> int:
         return self.grid.n
 
-    @property
+    @cached_property
     def c_n(self) -> float:
         return 4.0 * (self.n - 1) / (self.n - 2)
 
-    @property
+    @cached_property
     def big_n(self) -> float:
         """Critical exponent (n+2)/(n-2)."""
         return (self.n + 2.0) / (self.n - 2.0)
 
 
 def require_positive(u: ScalarField, what: str = "u"):
-    if u.values.min() <= 0.0:
+    if np.minimum.reduce(u.values, None) <= 0.0:
         flat, multi = _first_bad_index(u.values <= 0.0)
         raise PositivityError(
             f"{what} must be positive everywhere; {what}="
@@ -73,17 +75,16 @@ def require_positive(u: ScalarField, what: str = "u"):
         )
 
 
-def _periodic_diff(v: np.ndarray, axis: int, backward=False, op=np.subtract, out=None) -> np.ndarray:
+def _periodic_diff(v: np.ndarray, axis: int, backward=False, op=np.subtract) -> np.ndarray:
     """``op(v[i+1], v[i])`` at each i of the periodic ``axis``, or at i+1 when ``backward``.
 
     So the forward difference by default, the backward one ``v[i] - v[i-1]`` with ``backward``,
     and the face sum with ``op=np.add``.  One contiguous ``op`` over the flat array pairs each
     point with the one a stride ahead; then the wrap face, where that pairing runs into the next
     row, is redone.  Every entry is the one IEEE operation of the ``np.roll`` form, bit for bit.
-    ``out``, C-contiguous and not ``v``, receives the result when given.
     """
     v = np.ascontiguousarray(v)
-    out = np.empty_like(v) if out is None else out
+    out = np.empty_like(v)
     s = math.prod(v.shape[axis + 1 :])
     flat, flat_out = v.ravel(), out.ravel()
     op(flat[s:], flat[:-s], out=flat_out[s:] if backward else flat_out[:-s])
@@ -92,22 +93,49 @@ def _periodic_diff(v: np.ndarray, axis: int, backward=False, op=np.subtract, out
     return out
 
 
-def _laplacian_values(v: np.ndarray, spacings, out=None, scratch=None) -> np.ndarray:
-    """Flat Laplacian of ``v`` into ``out``; ``scratch``, a C-contiguous pair of arrays of ``v``'s
-    shape, holds the differences and nothing a caller keeps.  Both are fresh when not given."""
-    fwd, bwd = scratch if scratch is not None else (np.empty(v.shape, v.dtype) for _ in range(2))
+class _StencilPlan:
+    """A grid's views for ``_laplacian_values``, built once: the scratch pair ``fwd``, ``bwd``
+    (C-contiguous, of the grid's shape, fresh when not given; it holds nothing a caller keeps)
+    and, per axis, the flat stride ``s``, the wrap faces' indices, ``h*h`` and the views of the
+    pair that the axis's two differences write and read."""
+
+    __slots__ = ("scratch", "axes")
+
+    def __init__(self, grid: GridSpec, scratch=None):
+        shape = grid.shape
+        fwd, bwd = scratch if scratch is not None else (np.empty(shape) for _ in range(2))
+        self.scratch = fwd, bwd
+        flat_fwd, flat_bwd = fwd.reshape(-1), bwd.reshape(-1)
+        self.axes = []
+        for axis, h in enumerate(grid.spacings):
+            s = math.prod(shape[axis + 1 :])
+            lo, hi = (slice(None),) * axis + (0,), (slice(None),) * axis + (-1,)
+            self.axes.append((s, lo, hi, h * h, flat_fwd[s:], flat_fwd[:-s], flat_bwd[s:],
+                              fwd[lo], fwd[hi], bwd[lo]))
+
+
+def _laplacian_values(v: np.ndarray, plan: _StencilPlan, out=None) -> np.ndarray:
+    """Flat Laplacian of ``v`` into ``out`` (fresh when not given).  Per axis, the plan's views
+    take ``_periodic_diff``'s forward difference of ``v`` into ``fwd`` and its backward
+    difference of ``fwd`` into ``bwd``: the same IEEE operations, bit for bit."""
+    flat = v.reshape(-1)  # a view when v is C-contiguous, else a C-order copy
+    bwd = plan.scratch[1]
     out = np.empty_like(v) if out is None else out
     out.fill(0.0)
-    for axis, h in enumerate(spacings):
-        _periodic_diff(_periodic_diff(v, axis, out=fwd), axis, backward=True, out=bwd)
-        out += np.divide(bwd, h * h, out=bwd)
+    for s, lo, hi, hh, fwd_ahead, fwd_behind, bwd_ahead, fwd_lo, fwd_hi, bwd_lo in plan.axes:
+        np.subtract(flat[s:], flat[:-s], out=fwd_behind)
+        np.subtract(v[lo], v[hi], out=fwd_hi)
+        np.subtract(fwd_ahead, fwd_behind, out=bwd_ahead)
+        np.subtract(fwd_lo, fwd_hi, out=bwd_lo)
+        out += np.divide(bwd, hh, out=bwd)
     return out
 
 
-def _conformal_values(bg: Background, v: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    out = _laplacian_values(v, bg.grid.spacings, out, scratch)
+def _conformal_values(bg: Background, v: np.ndarray, out=None, plan=None) -> np.ndarray:
+    plan = plan if plan is not None else _StencilPlan(bg.grid)
+    out = _laplacian_values(v, plan, out)
     out *= -bg.c_n
-    out += np.multiply(bg.r0.values, v, out=None if scratch is None else scratch[0])
+    out += np.multiply(bg.r0.values, v, out=plan.scratch[0])
     return out
 
 
@@ -120,7 +148,7 @@ def _curvature_values(bg: Background, uv: np.ndarray, conf=None, out=None) -> np
 
 def laplacian(w: ScalarField) -> ScalarField:
     """Second-order periodic Laplacian of the background metric."""
-    return ScalarField(w.grid, _laplacian_values(w.values, w.grid.spacings))
+    return ScalarField(w.grid, _laplacian_values(w.values, _StencilPlan(w.grid)))
 
 
 def conformal_op(bg: Background, w: ScalarField) -> ScalarField:

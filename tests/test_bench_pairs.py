@@ -97,6 +97,36 @@ def test_digests_agree_when_every_run_matches(tmp_path, stubbed, monkeypatch, th
     assert _main(tmp_path, 3)["digests_agree"] == {"w": third == "same"}
 
 
+def test_wins_count_no_pair_the_change_lost_or_tied(tmp_path, stubbed):
+    """The stub's change runs read wall_rel 100 above the parent's, where lower is better, and
+    pass_frac 1.0 like the parent's, a tie: no pair is won.  ``BENCHMARK.json`` is only read."""
+    declared = (bench_pairs.ROOT / "BENCHMARK.json").read_bytes()
+    assert _main(tmp_path, 3)["wins"] == {
+        "w": {"wall_rel": {"won": 0, "pairs": 3}, "pass_frac": {"won": 0, "pairs": 3}}
+    }
+    assert (bench_pairs.ROOT / "BENCHMARK.json").read_bytes() == declared
+
+
+def test_wins_follow_each_metrics_better(tmp_path, stubbed, monkeypatch):
+    """wall_rel is better lower and pass_frac higher, as ``BENCHMARK.json`` declares: the change
+    wins wall_rel in pairs 0 and 2 and ties it in pair 1, and wins pass_frac in pair 1 only."""
+    change = {0: (0.9, 1.0), 1: (1.0, 1.0), 2: (0.5, 0.5)}  # pair: (wall_rel, pass_frac)
+    parent = {0: (1.0, 1.0), 1: (1.0, 0.5), 2: (0.6, 0.5)}
+
+    def bench(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        stubbed.append((workload, side))
+        pair = sum(1 for _, s in stubbed if s == side) - 1
+        wall, passed = (change if side == "change" else parent)[pair]
+        result = {"metrics": {"wall_rel": {"value": wall}, "pass_frac": {"value": passed}}}
+        return result, {"digests": {}, "import_runs_s": [0.1]}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert _main(tmp_path, 3)["wins"] == {
+        "w": {"wall_rel": {"won": 2, "pairs": 3}, "pass_frac": {"won": 1, "pairs": 3}}
+    }
+
+
 def test_zero_pairs_is_a_usage_error(tmp_path, stubbed, capsys):
     with pytest.raises(SystemExit) as info:
         _main(tmp_path, 0)

@@ -85,7 +85,7 @@ class TestRunCommand:
     )
     def test_default_header(self, n, lp_columns):
         """The Lp columns are the ladder 2, n/2, n^2/(2(n-2)); at n = 4 the two 2s are one."""
-        assert _csv_header(yf.FlowConfig().resolve_orders(n)) == (
+        assert _csv_header(yf.FlowConfig.resolve_orders(n)) == (
             f"t,dt,energy,min_u,max_u,volume_g,residual_sup,{lp_columns},dissipation_cum"
         )
 

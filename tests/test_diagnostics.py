@@ -141,6 +141,23 @@ class TestLemmaBalance:
                 yf.lemma_p_balance_error(bg, states, p=1.5)
         assert yf.lemma_p_balance_error(bg, states, p=2.0) < 0.05
 
+    def test_small_p_rejected_when_the_residual_changes_sign(self):
+        """On acceptance 08's 16^3 window R_g - f runs from -2.0 to 11.2, so |R_g - f|^(3/4) has
+        a kink inside it and p = 1.5 raises; the orders above 2 keep their values, bit for bit."""
+        bg, states = evolution_window(16, 1e-4, 100)
+        with pytest.raises(ValueError, match=r"R_g - f runs from -1\.99812 to 11\.1808"):
+            yf.lemma_p_balance_error(bg, states, p=1.5)
+        got = [yf.lemma_p_balance_error(bg, states, p=p) for p in (2.0, 3.0, 4.5)]
+        assert got == [7.321621219803507e-05, 0.011029051587056847, 0.014170337534659657]
+
+    def test_small_p_accepted_on_a_one_signed_residual(self, grid8):
+        """Constant data keep R_g - f one-signed and far from 0, so p = 1.5 is checked."""
+        bg = constant_background(grid8, r0=-2.0, f=-1.0)
+        states = [FlowState(yf.ScalarField.constant(grid8, 1.3), 0.0, 0, 0.0)]
+        for _ in range(2):
+            states.append(yf.step(bg, states[-1], 1e-4))
+        assert yf.lemma_p_balance_error(bg, states, p=1.5) < 1e-6
+
     def test_stationary_window_gives_zero(self, grid8):
         bg = constant_background(grid8, r0=-1.0, f=-1.0)
         u = yf.ScalarField.constant(grid8, 1.0)

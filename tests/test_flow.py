@@ -293,7 +293,7 @@ class TestDigests:
         cfg = yf.FlowConfig(max_steps=40, record_every=1)
         traj = yf.run(bg, u0, cfg)
         assert (traj.outcome, traj.final.step, len(traj.records)) == ("timeout", 40, 41)
-        orders = cfg.resolve_orders(bg.n)
+        orders = yf.FlowConfig.resolve_orders(bg.n)
         rows = "".join(_csv_row(rec, orders) + "\n" for rec in traj.records)
         assert hashlib.sha256(traj.final.u.values.tobytes()).hexdigest() == (
             "ecf9456bba8318ae9aa66f46d34705a5a8449853ec9bf0dc65fc214686d99847"
@@ -442,11 +442,16 @@ class TestResumeCarry:
             yf.FlowConfig(**{field: value})
 
     def test_default_lp_orders(self):
-        assert yf.FlowConfig().resolve_orders(3) == (2.0, 1.5, 4.5)
+        assert yf.FlowConfig.resolve_orders(3) == (2.0, 1.5, 4.5)
+
+    def test_lp_orders_read_no_field(self):
+        """A function of n alone, so an instance, whatever its fields, gives the class's ladder."""
+        cfg = yf.FlowConfig(t_max=1.0, record_every=3)
+        assert cfg.resolve_orders(5) == yf.FlowConfig.resolve_orders(5) == (2.0, 2.5, 25.0 / 6.0)
 
     def test_default_lp_orders_distinct_in_4d(self):
         """At n = 4 the orders 2 and n/2 coincide; the ladder keeps one of them."""
-        assert yf.FlowConfig().resolve_orders(4) == (2.0, 4.0)
+        assert yf.FlowConfig.resolve_orders(4) == (2.0, 4.0)
 
 
 class TestManufacturedSolution:

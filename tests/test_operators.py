@@ -4,11 +4,13 @@ import pytest
 import yamabeflow as yf
 from yamabeflow.errors import PositivityError
 from yamabeflow.grid import _fsum
+from yamabeflow.flow import _Workspace
 from yamabeflow.operators import (
     _conformal_values,
     _laplacian_g_values,
     _laplacian_values,
     _periodic_diff,
+    _StencilPlan,
     require_positive,
 )
 
@@ -242,8 +244,11 @@ def _reference_weighted_gradient_sq_integral(bg, w, uv):
 
 NON_DYADIC = yf.GridSpec(3, (5, 6, 7), (1.0, 1.3, 0.7))
 FOUR_D = yf.GridSpec(4, (4, 5, 4, 6), (1.0, 1.3, 0.7, 0.9))
+FIVE_D = yf.GridSpec(5, (4,) * 5, (1.0, 1.3, 0.7, 0.9, 1.1))
 STENCIL_GRIDS = pytest.mark.parametrize(
-    "grid", [NON_DYADIC, FOUR_D, unit_grid(16), unit_grid(24)], ids=["non_dyadic", "four_d", "16", "24"]
+    "grid",
+    [NON_DYADIC, FOUR_D, FIVE_D, unit_grid(16), unit_grid(24)],
+    ids=["non_dyadic", "four_d", "five_d", "16", "24"],
 )
 
 
@@ -256,20 +261,36 @@ def test_stencils_bitwise_equal_reference_forms(grid):
     bg = constant_background(grid)
     w = rng.standard_normal(grid.shape)
     u = 1.0 + 0.5 * rng.random(grid.shape)
-    assert np.array_equal(_laplacian_values(w, grid.spacings), _reference_laplacian(w, grid.spacings))
+    lap = _laplacian_values(w, _StencilPlan(grid))
+    assert np.array_equal(lap, _reference_laplacian(w, grid.spacings))
     assert np.array_equal(_laplacian_g_values(bg, u, w), _reference_laplacian_g(bg, u, w))
 
 
 @STENCIL_GRIDS
 def test_reused_buffers_give_the_fresh_bits(grid):
-    """Two fields through one ``out`` and scratch pair, both first filled with NaN."""
+    """Two fields through one ``out`` and a plan over one scratch pair, all first filled with NaN."""
     rng = np.random.default_rng(19)
     bg = constant_background(grid, r0=-1.5)
-    out, scratch = np.full(grid.shape, np.nan), np.full((2, *grid.shape), np.nan)
+    out, plan = np.full(grid.shape, np.nan), _StencilPlan(grid, np.full((2, *grid.shape), np.nan))
     for v in (1.0 + 0.5 * rng.random(grid.shape), rng.standard_normal(grid.shape)):
-        got = _conformal_values(bg, v, out, scratch)
+        got = _conformal_values(bg, v, out, plan)
         assert got is out
         assert got.tobytes() == _conformal_values(bg, v).tobytes()
+
+
+@STENCIL_GRIDS
+def test_one_plan_serves_every_input(grid):
+    """The plan holds views of its scratch pair only: applied to a fresh array, to a Fortran-ordered
+    one and then to the workspace's stage buffer, which it was not built over, it gives the
+    reference bits each time."""
+    rng = np.random.default_rng(23)
+    ws = _Workspace(grid)
+    ws.stage[...] = rng.standard_normal(grid.shape)
+    fresh, fortran = rng.standard_normal(grid.shape), np.asfortranarray(rng.standard_normal(grid.shape))
+    for v in (fresh, fortran, ws.stage):
+        got = _laplacian_values(v, ws.plan, ws.c)
+        assert got is ws.c
+        assert got.tobytes() == _reference_laplacian(v, grid.spacings).tobytes()
 
 
 @STENCIL_GRIDS

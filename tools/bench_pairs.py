@@ -20,7 +20,10 @@ or the reference moved), and the per-side median and quartiles of every metric. 
 numpy's default interpolation; the spread between them is what decides
 whether a difference of medians is resolved.  ``digests_agree`` says, per
 workload, whether every run on both sides reported the same output digests,
-which is what a change meant to be bit-identical must show.  Standard library only.
+which is what a change meant to be bit-identical must show.  ``wins`` gives, per workload
+and end-to-end metric of ``BENCHMARK.json`` (read, never written), the pairs whose change run
+beat its parent run in the direction of the metric's ``better``, out of the pairs run; a tie
+counts for neither side.  Standard library only.
 """
 
 from __future__ import annotations
@@ -98,6 +101,24 @@ def digests_agree(runs: list[dict]) -> dict[str, bool]:
     return {workload: all(d == digests[0] for d in digests) for workload, digests in seen.items()}
 
 
+def wins(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric of ``better`` (name to "lower" or "higher"), ``{"won", "pairs"}``:
+    the pairs the change won, a tie being no win, out of the pairs that report the metric."""
+    pairs: dict = {}
+    for run in runs:
+        pairs.setdefault((run["workload"], run["pair"]), {})[run["side"]] = run["result"]["metrics"]
+    out: dict = {}
+    for (workload, _), sides in pairs.items():
+        for name, direction in better.items():
+            if name not in sides["parent"] or name not in sides["change"]:
+                continue
+            parent, change = sides["parent"][name]["value"], sides["change"][name]["value"]
+            entry = out.setdefault(workload, {}).setdefault(name, {"won": 0, "pairs": 0})
+            entry["won"] += change < parent if direction == "lower" else change > parent
+            entry["pairs"] += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -110,6 +131,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {metric["name"]: metric["better"] for metric in end_to_end}
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -133,6 +156,7 @@ def main(argv=None) -> int:
         "medians": per_side(runs, statistics.median),
         "quartiles": per_side(runs, quartiles),
         "digests_agree": digests_agree(runs),
+        "wins": wins(runs, better),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
