@@ -3,8 +3,8 @@ import pytest
 
 import yamabeflow as yf
 from yamabeflow.errors import PositivityError
-from yamabeflow.grid import _fsum
 from yamabeflow.flow import _Workspace
+from yamabeflow.grid import _fsum
 from yamabeflow.operators import (
     _conformal_values,
     _laplacian_g_values,
