@@ -117,17 +117,20 @@ class _StencilPlan:
 def _laplacian_values(v: np.ndarray, plan: _StencilPlan, out=None) -> np.ndarray:
     """Flat Laplacian of ``v`` into ``out`` (fresh when not given).  Per axis, the plan's views
     take ``_periodic_diff``'s forward difference of ``v`` into ``fwd`` and its backward
-    difference of ``fwd`` into ``bwd``: the same IEEE operations, bit for bit."""
+    difference of ``fwd`` into ``bwd``: the same IEEE operations, bit for bit.  The first axis's
+    term is written straight into ``out``, so a zero whose every term is -0.0 keeps that sign."""
     flat = v.reshape(-1)  # a view when v is C-contiguous, else a C-order copy
     bwd = plan.scratch[1]
-    out = np.empty_like(v) if out is None else out
-    out.fill(0.0)
-    for s, lo, hi, hh, fwd_ahead, fwd_behind, bwd_ahead, fwd_lo, fwd_hi, bwd_lo in plan.axes:
+    for axis, views in enumerate(plan.axes):
+        s, lo, hi, hh, fwd_ahead, fwd_behind, bwd_ahead, fwd_lo, fwd_hi, bwd_lo = views
         np.subtract(flat[s:], flat[:-s], out=fwd_behind)
         np.subtract(v[lo], v[hi], out=fwd_hi)
         np.subtract(fwd_ahead, fwd_behind, out=bwd_ahead)
         np.subtract(fwd_lo, fwd_hi, out=bwd_lo)
-        out += np.divide(bwd, hh, out=bwd)
+        if axis == 0:
+            out = np.divide(bwd, hh, out=out)
+        else:
+            out += np.divide(bwd, hh, out=bwd)
     return out
 
 
