@@ -17,7 +17,7 @@ import numpy as np
 
 from .flow import _StateEval
 from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
-from .operators import Background, _laplacian_g_values
+from .operators import Background, _laplacian_g_values, _power
 
 __all__ = [
     "GrowthFit",
@@ -261,5 +261,5 @@ def weighted_mass(bg: Background, u: ScalarField, phi: ScalarField, mask: Subdom
     total = _fsum(phi_masked) * bg.grid.cell_volume
     if total <= 0.0:
         raise ValueError(f"phi has nonpositive mass {total:g} on the mask")
-    integrand = u.values**bg.big_n * (phi_masked / total)
+    integrand = _power(u.values, bg.big_n) * (phi_masked / total)
     return _fsum(integrand) * bg.grid.cell_volume

@@ -23,6 +23,7 @@ from .operators import (
     Background,
     _conformal_values,
     _curvature_values,
+    _power,
     _StencilPlan,
     energy,
     require_positive,
@@ -126,8 +127,8 @@ class _Workspace:
         self.plan = _StencilPlan(grid, (self.a, self.b))
 
 
-def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, resid=None, vel=None):
-    resid = _curvature_values(bg, uv, conf, resid)
+def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, resid=None, vel=None, un=None):
+    resid = _curvature_values(bg, uv, conf, resid, un)
     resid -= bg.f.values
     vel = np.multiply(-0.25 * (bg.n - 2), resid, out=vel)
     vel *= uv
@@ -138,10 +139,12 @@ class _StateEval:
     """Everything the step loop and the window checks read from one state, from one ``R_g - f``.
 
     ``L0 u`` is applied once: the curvature reads it, and so does the energy's Dirichlet form
-    ``u L0 u``, by summation by parts.  A state whose weight or curvature overflows has a
-    non-finite energy, ``residual_sup`` or ``sq``, and raises ``ComputationFailure`` instead of
-    a numpy warning.  ``L0 u`` and the reductions' temporaries live in the workspace ``ws``
-    (fresh when not given); ``resid``, ``weight`` and ``velocity`` are fresh arrays.
+    ``u L0 u``, by summation by parts.  ``u^N`` is formed once: the weight is ``u^N u``, and the
+    curvature ``L0 u / u^N`` overwrites it to become ``resid``.  A state whose weight overflows,
+    or whose ``u^N`` underflows to 0, has a non-finite energy, ``residual_sup`` or ``sq``, and
+    raises ``ComputationFailure`` instead of a numpy warning.  ``L0 u`` and the reductions'
+    temporaries live in the workspace ``ws`` (fresh when not given); ``resid``, ``weight`` and
+    ``velocity`` are fresh arrays.
     """
 
     __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
@@ -149,11 +152,12 @@ class _StateEval:
     def __init__(self, bg: Background, u: ScalarField, ws: _Workspace | None = None):
         uv = u.values
         ws = ws if ws is not None else _Workspace(bg.grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.weight = uv ** (bg.big_n + 1.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            un = _power(uv, bg.big_n)
+            self.weight = un * uv
             conf = _conformal_values(bg, uv, ws.c, ws.plan)
             self.energy = energy(bg, u, conf, self.weight)
-            self.resid, self.velocity = _residual_velocity(bg, uv, conf)
+            self.resid, self.velocity = _residual_velocity(bg, uv, conf, un=un)
             self.residual_sup = float(np.maximum.reduce(np.abs(self.resid, out=ws.a), None))
             sq = np.multiply(np.multiply(self.resid, self.resid, out=ws.a), self.weight, out=ws.a)
             self.sq = _fsum(sq) * bg.grid.cell_volume
@@ -168,7 +172,8 @@ class _StateEval:
     def moments(self, orders, vol: float) -> dict[float, float]:
         """``{p: int |R_g - f|^p dV_g}`` over ``orders``, ``vol`` the cell volume; 2 is ``sq``."""
         abs_resid = np.abs(self.resid) if set(orders) - {2.0} else None
-        return {p: self.sq if p == 2.0 else _fsum(abs_resid**p * self.weight) * vol for p in orders}
+        return {p: self.sq if p == 2.0 else _fsum(_power(abs_resid, p) * self.weight) * vol
+                for p in orders}
 
 
 def velocity(bg: Background, u: ScalarField) -> ScalarField:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ComputationFailure, DeltaWindowEmptyError, EigenvalueConditionError
 from .grid import ScalarField, SubdomainMask, chebyshev_distance, require_same_grid
-from .operators import Background, _conformal_values, require_positive
+from .operators import Background, _conformal_values, _stationary_defect, require_positive
 from .spectral import dirichlet_eigen
 
 __all__ = [
@@ -200,5 +200,4 @@ def verify_supersolution(bg: Background, ubar: ScalarField) -> float:
     """
     require_same_grid(bg, ubar)
     require_positive(ubar, "ubar")
-    l_vals = _conformal_values(bg, ubar.values) - bg.f.values * ubar.values**bg.big_n
-    return float(l_vals.min())
+    return float(_stationary_defect(bg, ubar.values).min())

@@ -142,11 +142,27 @@ def _conformal_values(bg: Background, v: np.ndarray, out=None, plan=None) -> np.
     return out
 
 
-def _curvature_values(bg: Background, uv: np.ndarray, conf=None, out=None) -> np.ndarray:
-    # ``conf``: ``L0 u``, when the caller holds it; ``out`` receives the result.
-    out = np.power(uv, -bg.big_n, out=out)
-    out *= conf if conf is not None else _conformal_values(bg, uv)
-    return out
+def _power(x: np.ndarray, p: float, out=None) -> np.ndarray:
+    """``x**p`` into ``out`` (fresh when not given, never ``x``) for ``x >= 0``: by products and,
+    for a half power, one ``np.sqrt`` when ``2p`` is a whole number from 3 to 13, within a few
+    ulp of ``np.power`` and a few times faster; otherwise by ``np.power`` itself, bit for bit."""
+    twice = 2.0 * p
+    if not (3.0 <= twice <= 13.0 and twice.is_integer()):
+        return np.power(x, p, out=out)
+    k, half = divmod(int(twice), 2)
+    acc = x
+    for bit in bin(k)[3:]:  # left-to-right binary powering: square, and times x on a set bit
+        acc = out = np.multiply(acc, acc, out=out)
+        if bit == "1":
+            acc *= x
+    return np.multiply(acc, np.sqrt(x), out=out) if half else acc
+
+
+def _curvature_values(bg: Background, uv: np.ndarray, conf=None, out=None, un=None) -> np.ndarray:
+    # ``R_g = L0 u / u^N`` into ``out``, or over ``un`` when the caller holds ``u^N`` there;
+    # ``conf``: ``L0 u``, when the caller holds it.
+    out = _power(uv, bg.big_n, out) if un is None else un
+    return np.divide(conf if conf is not None else _conformal_values(bg, uv), out, out=out)
 
 
 def laplacian(w: ScalarField) -> ScalarField:
@@ -176,7 +192,7 @@ def _laplacian_g_values(bg: Background, uv: np.ndarray, wv: np.ndarray) -> np.nd
     for axis, h in enumerate(bg.grid.spacings):
         flux = 0.5 * _periodic_diff(u2, axis, op=np.add) * _periodic_diff(wv, axis)
         out += _periodic_diff(flux, axis, backward=True) / (h * h)
-    return uv ** (-(bg.big_n + 1.0)) * out
+    return _power(uv, -(bg.big_n + 1.0)) * out
 
 
 def laplacian_g(bg: Background, u: ScalarField, w: ScalarField) -> ScalarField:
@@ -201,7 +217,7 @@ def energy(bg: Background, u: ScalarField, conf=None, weight=None) -> float:
     if conf is None:
         conf = _conformal_values(bg, uv)
     if weight is None:
-        weight = uv ** (bg.big_n + 1.0)
+        weight = _power(uv, bg.big_n) * uv
     density = uv * conf - ((bg.n - 2.0) / bg.n) * bg.f.values * weight
     return _fsum(density) * bg.grid.cell_volume
 
@@ -214,5 +230,9 @@ def stationary_residual(bg: Background, u: ScalarField) -> float:
     """
     require_same_grid(bg, u)
     require_positive(u)
-    defect = _conformal_values(bg, u.values) - bg.f.values * u.values ** bg.big_n
-    return float(np.abs(defect).max())
+    return float(np.abs(_stationary_defect(bg, u.values)).max())
+
+
+def _stationary_defect(bg: Background, uv: np.ndarray) -> np.ndarray:
+    """``L0 u - f u^N``, zero where ``u`` solves the stationary curvature equation."""
+    return _conformal_values(bg, uv) - bg.f.values * _power(uv, bg.big_n)

@@ -97,6 +97,26 @@ def test_digests_agree_when_every_run_matches(tmp_path, stubbed, monkeypatch, th
     assert _main(tmp_path, 3)["digests_agree"] == {"w": third == "same"}
 
 
+def test_digests_repeat_per_side_when_the_sides_differ(tmp_path, stubbed):
+    """The stub's digests name the side: they disagree across sides but repeat within each."""
+    report = _main(tmp_path, 3)
+    assert report["digests_agree"] == {"w": False}
+    assert report["digests_repeat"] == {"w": {"parent": True, "change": True}}
+
+
+def test_digests_repeat_fails_only_the_side_that_moved(tmp_path, stubbed, monkeypatch):
+    """The change side of pair 1 reports other digests than the change side of pair 0."""
+    stub = bench_pairs.bench
+
+    def bench(tree, workload, seed, seconds):
+        result, kept = stub(tree, workload, seed, seconds)
+        digest = "moved" if len(stubbed) == 3 else kept["digests"]["final.u.yflo"]
+        return result, {**kept, "digests": {"final.u.yflo": digest}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert _main(tmp_path, 3)["digests_repeat"] == {"w": {"parent": True, "change": False}}
+
+
 def test_wins_count_no_pair_the_change_lost_or_tied(tmp_path, stubbed):
     """The stub's change runs read wall_rel 100 above the parent's, where lower is better, and
     pass_frac 1.0 like the parent's, a tie: no pair is won.  ``BENCHMARK.json`` is only read."""

@@ -230,10 +230,11 @@ class TestEvaluationCount:
 
 
 class TestStateEval:
-    def test_shares_bits_with_energy_and_curvature(self, grid8):
+    @pytest.mark.parametrize("n", [3, 4, 5])  # N = 5 and 3 by products, 7/3 by np.power
+    def test_shares_bits_with_energy_and_curvature(self, n):
         """The differences and weight one evaluation shares give the stand-alone bits."""
-        bg = trapped_bump_background(8)
-        u = yf.ScalarField(grid8, 1.0 + 0.1 * np.random.default_rng(5).random(grid8.shape))
+        bg, _ = manufactured_background(n, 6)
+        u = yf.ScalarField(bg.grid, 1.0 + 0.1 * np.random.default_rng(5).random(bg.grid.shape))
         ev = flowmod._StateEval(bg, u)
         assert ev.energy.hex() == yf.energy(bg, u).hex()
         assert ev.resid.tobytes() == (_curvature_values(bg, u.values) - bg.f.values).tobytes()
@@ -296,10 +297,10 @@ class TestDigests:
         orders = yf.FlowConfig.resolve_orders(bg.n)
         rows = "".join(_csv_row(rec, orders) + "\n" for rec in traj.records)
         assert hashlib.sha256(traj.final.u.values.tobytes()).hexdigest() == (
-            "ecf9456bba8318ae9aa66f46d34705a5a8449853ec9bf0dc65fc214686d99847"
+            "9a6e863e9dc4b63ffb42c88767b25e3003e741851a824ca5a896b7153dcc314b"
         )
         assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "c441a658700174c4f966e27365efb8c7a30359fccf2c216041f1c561e38857bd"
+            "a93fcb841bf7f748e2ff2adb3223959602b619ee90fa8c9bc61a3b1dddb14d7e"
         )
 
 

@@ -9,12 +9,18 @@ from yamabeflow.operators import (
     _conformal_values,
     _laplacian_g_values,
     _laplacian_values,
+    _curvature_values,
     _periodic_diff,
+    _power,
     _StencilPlan,
     require_positive,
 )
 
 from conftest import constant_background, unit_grid
+
+# The powers of u the flow forms for n = 3..6: N, N + 1 and the Lp ladder's orders.
+FLOW_POWERS = sorted({p for n in range(3, 7) for p in (
+    (n + 2.0) / (n - 2.0), 2.0 * n / (n - 2.0), *yf.FlowConfig.resolve_orders(n))})
 
 
 def dense_laplacian_matrix(grid):
@@ -122,6 +128,42 @@ class TestScalarCurvature:
         vals[0, 0, 0] = 0.0
         with pytest.raises(PositivityError):
             yf.scalar_curvature(bg8, yf.ScalarField(bg8.grid, vals))
+
+
+class TestPower:
+    """``_power`` forms small half-whole powers by products and one square root."""
+
+    def test_products_within_4_ulp_of_np_power(self):
+        """Against libm ``pow`` on u in [1e-3, 1e3], at every power of the flow for n = 3..6."""
+        x = np.logspace(-3.0, 3.0, 20001)
+        for p in FLOW_POWERS:
+            ref = np.power(x, p)
+            rel = np.abs(_power(x, p) - ref) / ref
+            assert rel.max() <= 4.0 * np.finfo(float).eps, p
+
+    @pytest.mark.parametrize("p", [7.0 / 3.0, 10.0 / 3.0, 25.0 / 6.0, 0.5, 1.0, 7.0, -5.0, -6.0])
+    def test_other_powers_are_np_power_bit_for_bit(self, p):
+        x = np.logspace(-3.0, 3.0, 2001)
+        assert _power(x, p).tobytes() == np.power(x, p).tobytes()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.5, 5.0, 6.0, 7.0 / 3.0])
+    def test_writes_into_out(self, p):
+        x = np.logspace(-3.0, 3.0, 2001)
+        out = np.full_like(x, np.nan)
+        assert _power(x, p, out) is out
+        assert out.tobytes() == _power(x, p).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e80])
+    def test_curvature_keeps_its_finite_class_at_extreme_u(self, grid8, scale):
+        """``L0 u / u^N`` is finite exactly where ``u^-N L0 u`` was: non-finite at 1e-100,
+        where u^N underflows as u^-N overflowed, and 0 at 1e80, where the reverse happens."""
+        bg = constant_background(grid8)
+        uv = scale * (1.0 + 0.1 * np.random.default_rng(8).random(grid8.shape))
+        with np.errstate(all="ignore"):
+            got = _curvature_values(bg, uv)
+            was = np.power(uv, -bg.big_n) * _conformal_values(bg, uv)
+        assert np.array_equal(np.isfinite(got), np.isfinite(was))
+        assert np.isfinite(got).all() == (scale > 1.0)
 
 
 class TestMetricLaplacian:

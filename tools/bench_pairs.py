@@ -20,7 +20,9 @@ or the reference moved), and the per-side median and quartiles of every metric. 
 numpy's default interpolation; the spread between them is what decides
 whether a difference of medians is resolved.  ``digests_agree`` says, per
 workload, whether every run on both sides reported the same output digests,
-which is what a change meant to be bit-identical must show.  ``wins`` gives, per workload
+which is what a change meant to be bit-identical must show; ``digests_repeat`` says, per
+workload and side, whether every run of that side reported the same digests, which a change
+that moves the numbers on purpose must still show.  ``wins`` gives, per workload
 and end-to-end metric of ``BENCHMARK.json`` (read, never written), the pairs whose change run
 beat its parent run in the direction of the metric's ``better``, out of the pairs run; a tie
 counts for neither side.  Standard library only.
@@ -101,6 +103,15 @@ def digests_agree(runs: list[dict]) -> dict[str, bool]:
     return {workload: all(d == digests[0] for d in digests) for workload, digests in seen.items()}
 
 
+def digests_repeat(runs: list[dict]) -> dict[str, dict[str, bool]]:
+    """Per workload and side, whether all that side's runs reported one set of digests."""
+    seen: dict = {}
+    for run in runs:
+        seen.setdefault(run["workload"], {}).setdefault(run["side"], []).append(run["digests"])
+    return {workload: {side: all(d == digests[0] for d in digests)
+                       for side, digests in sides.items()} for workload, sides in seen.items()}
+
+
 def wins(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric of ``better`` (name to "lower" or "higher"), ``{"won", "pairs"}``:
     the pairs the change won, a tie being no win, out of the pairs that report the metric."""
@@ -156,6 +167,7 @@ def main(argv=None) -> int:
         "medians": per_side(runs, statistics.median),
         "quartiles": per_side(runs, quartiles),
         "digests_agree": digests_agree(runs),
+        "digests_repeat": digests_repeat(runs),
         "wins": wins(runs, better),
         "runs": runs,
     }
