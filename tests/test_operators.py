@@ -7,9 +7,9 @@ from yamabeflow.flow import _Workspace
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import (
     _conformal_values,
+    _curvature_values,
     _laplacian_g_values,
     _laplacian_values,
-    _curvature_values,
     _periodic_diff,
     _power,
     _StencilPlan,

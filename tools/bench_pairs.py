@@ -104,12 +104,12 @@ def digests_agree(runs: list[dict]) -> dict[str, bool]:
 
 
 def digests_repeat(runs: list[dict]) -> dict[str, dict[str, bool]]:
-    """Per workload and side, whether all that side's runs reported one set of digests."""
-    seen: dict = {}
-    for run in runs:
-        seen.setdefault(run["workload"], {}).setdefault(run["side"], []).append(run["digests"])
-    return {workload: {side: all(d == digests[0] for d in digests)
-                       for side, digests in sides.items()} for workload, sides in seen.items()}
+    """Per workload and side, ``digests_agree`` over that side's runs alone."""
+    out: dict = {}
+    for side in ("parent", "change"):
+        for workload, same in digests_agree([r for r in runs if r["side"] == side]).items():
+            out.setdefault(workload, {})[side] = same
+    return out
 
 
 def wins(runs: list[dict], better: dict[str, str]) -> dict:
