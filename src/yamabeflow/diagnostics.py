@@ -136,11 +136,11 @@ def lemma_p_balance_error(bg: Background, states, p: float = 2.0) -> float:
     abs_resid = np.abs(resid)
     # At p = 2 the half-power is |resid| itself; differentiate the signed
     # residual instead, which has the same gradient a.e. but no kink.
-    w = resid if p == 2.0 else abs_resid ** (p / 2.0)
+    w = resid if p == 2.0 else _power(abs_resid, p / 2.0)
     # int |grad w|^2 u^2 dV = -int w Lap_g(w) dV_g, by summation by parts.
     grad_sq = -_fsum(w * _laplacian_g_values(bg, states[1].u.values, w) * weight) * vol
     grad_term = -4.0 * (n - 1) * (p - 1) / p * grad_sq
-    abs_p = abs_resid**p
+    abs_p = _power(abs_resid, p)
     sign_term = (p - 0.5 * n) * _fsum(resid * abs_p * weight) * vol
     forcing = p * _fsum(bg.f.values * abs_p * weight) * vol
     rhs = grad_term + sign_term + forcing

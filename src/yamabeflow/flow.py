@@ -116,10 +116,10 @@ class Trajectory:
 
 
 class _Workspace:
-    """One ``run``'s scratch arrays: ``a``, ``b``, ``c`` for the stencil and a state's reductions,
-    ``stage`` and ``ks`` for an RK4 attempt's k2..k4, and the stencil's ``plan`` over ``a`` and
-    ``b``.  Nothing a caller keeps lives here.  Seven arrays, not one block: freeing a block past
-    malloc's mmap threshold raises it process-wide."""
+    """One ``run``'s scratch arrays, none of which a caller keeps: ``a``, ``b``, ``c`` for the
+    stencil, whose ``plan`` is over ``a`` and ``b``, and a state's reductions, ``stage`` and ``ks``
+    for an RK4 attempt's k2..k4.  Seven arrays, not one block: freeing a block past malloc's mmap
+    threshold raises it process-wide."""
 
     __slots__ = ("a", "b", "c", "stage", "ks", "plan")
     def __init__(self, grid: GridSpec):
@@ -127,8 +127,8 @@ class _Workspace:
         self.plan = _StencilPlan(grid, (self.a, self.b))
 
 
-def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, resid=None, vel=None, un=None):
-    resid = _curvature_values(bg, uv, conf, resid, un)
+def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, un=None, vel=None):
+    resid = _curvature_values(bg, uv, conf, un)
     resid -= bg.f.values
     vel = np.multiply(-0.25 * (bg.n - 2), resid, out=vel)
     vel *= uv
@@ -143,8 +143,7 @@ class _StateEval:
     curvature ``L0 u / u^N`` overwrites it to become ``resid``.  A state whose weight overflows,
     or whose ``u^N`` underflows to 0, has a non-finite energy, ``residual_sup`` or ``sq``, and
     raises ``ComputationFailure`` instead of a numpy warning.  ``L0 u`` and the reductions'
-    temporaries live in the workspace ``ws`` (fresh when not given); ``resid``, ``weight`` and
-    ``velocity`` are fresh arrays.
+    temporaries live in the workspace ``ws``; ``resid``, ``weight`` and ``velocity`` are fresh.
     """
 
     __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
@@ -157,7 +156,7 @@ class _StateEval:
             self.weight = un * uv
             conf = _conformal_values(bg, uv, ws.c, ws.plan)
             self.energy = energy(bg, u, conf, self.weight)
-            self.resid, self.velocity = _residual_velocity(bg, uv, conf, un=un)
+            self.resid, self.velocity = _residual_velocity(bg, uv, conf, un)
             self.residual_sup = float(np.maximum.reduce(np.abs(self.resid, out=ws.a), None))
             sq = np.multiply(np.multiply(self.resid, self.resid, out=ws.a), self.weight, out=ws.a)
             self.sq = _fsum(sq) * bg.grid.cell_volume
@@ -224,7 +223,8 @@ def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float, ws) -> n
         s = np.add(uv, np.multiply(c * dt, k_prev, out=ws.stage), out=ws.stage)
         if not _admissible(s):
             return None
-        _residual_velocity(bg, s, _conformal_values(bg, s, ws.c, ws.plan), ws.a, k)
+        conf = _conformal_values(bg, s, ws.c, ws.plan)  # its stencil scratch includes ws.a
+        _residual_velocity(bg, s, conf, _power(s, bg.big_n, ws.a), k)
     acc = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
     acc += np.multiply(2.0, k3, out=k3)
     acc += k4

@@ -158,9 +158,6 @@ class SubdomainMask:
     def complement(self) -> "SubdomainMask":
         return SubdomainMask(self.grid, ~self.inside)
 
-    def issubset(self, other: "SubdomainMask") -> bool:
-        return bool(np.all(other.inside | ~self.inside))
-
     def __repr__(self):
         return f"SubdomainMask(grid={self.grid.sizes}, count={self.count})"
 

@@ -75,29 +75,10 @@ def require_positive(u: ScalarField, what: str = "u"):
         )
 
 
-def _periodic_diff(v: np.ndarray, axis: int, backward=False, op=np.subtract) -> np.ndarray:
-    """``op(v[i+1], v[i])`` at each i of the periodic ``axis``, or at i+1 when ``backward``.
-
-    So the forward difference by default, the backward one ``v[i] - v[i-1]`` with ``backward``,
-    and the face sum with ``op=np.add``.  One contiguous ``op`` over the flat array pairs each
-    point with the one a stride ahead; then the wrap face, where that pairing runs into the next
-    row, is redone.  Every entry is the one IEEE operation of the ``np.roll`` form, bit for bit.
-    """
-    v = np.ascontiguousarray(v)
-    out = np.empty_like(v)
-    s = math.prod(v.shape[axis + 1 :])
-    flat, flat_out = v.ravel(), out.ravel()
-    op(flat[s:], flat[:-s], out=flat_out[s:] if backward else flat_out[:-s])
-    face = (slice(None),) * axis
-    op(v[face + (0,)], v[face + (-1,)], out=out[face + (0 if backward else -1,)])
-    return out
-
-
 class _StencilPlan:
-    """A grid's views for ``_laplacian_values``, built once: the scratch pair ``fwd``, ``bwd``
-    (C-contiguous, of the grid's shape, fresh when not given; it holds nothing a caller keeps)
-    and, per axis, the flat stride ``s``, the wrap faces' indices, ``h*h`` and the views of the
-    pair that the axis's two differences write and read."""
+    """A grid's views for ``_laplacian_values``, built once: per axis, the flat stride ``s``, the
+    wrap faces' indices, ``h*h`` and the views of the scratch pair ``fwd``, ``bwd`` (C-contiguous,
+    of the grid's shape, fresh when not given) that the axis's two differences write and read."""
 
     __slots__ = ("scratch", "axes")
 
@@ -115,10 +96,10 @@ class _StencilPlan:
 
 
 def _laplacian_values(v: np.ndarray, plan: _StencilPlan, out=None) -> np.ndarray:
-    """Flat Laplacian of ``v`` into ``out`` (fresh when not given).  Per axis, the plan's views
-    take ``_periodic_diff``'s forward difference of ``v`` into ``fwd`` and its backward
-    difference of ``fwd`` into ``bwd``: the same IEEE operations, bit for bit.  The first axis's
-    term is written straight into ``out``, so a zero whose every term is -0.0 keeps that sign."""
+    """Flat Laplacian of ``v`` into ``out`` (fresh when not given): per axis, the forward difference
+    of ``v`` into ``fwd`` and its backward difference into ``bwd``, each one flat subtraction and
+    its wrap face, the ``np.roll`` forms' IEEE operations bit for bit.  The first axis's term is
+    written straight into ``out``, so a zero whose every term is -0.0 keeps that sign."""
     flat = v.reshape(-1)  # a view when v is C-contiguous, else a C-order copy
     bwd = plan.scratch[1]
     for axis, views in enumerate(plan.axes):
@@ -158,11 +139,11 @@ def _power(x: np.ndarray, p: float, out=None) -> np.ndarray:
     return np.multiply(acc, np.sqrt(x), out=out) if half else acc
 
 
-def _curvature_values(bg: Background, uv: np.ndarray, conf=None, out=None, un=None) -> np.ndarray:
-    # ``R_g = L0 u / u^N`` into ``out``, or over ``un`` when the caller holds ``u^N`` there;
+def _curvature_values(bg: Background, uv: np.ndarray, conf=None, un=None) -> np.ndarray:
+    # ``R_g = L0 u / u^N``, written over ``un`` when the caller holds ``u^N`` there, else fresh;
     # ``conf``: ``L0 u``, when the caller holds it.
-    out = _power(uv, bg.big_n, out) if un is None else un
-    return np.divide(conf if conf is not None else _conformal_values(bg, uv), out, out=out)
+    un = _power(uv, bg.big_n) if un is None else un
+    return np.divide(conf if conf is not None else _conformal_values(bg, uv), un, out=un)
 
 
 def laplacian(w: ScalarField) -> ScalarField:
@@ -190,8 +171,8 @@ def _laplacian_g_values(bg: Background, uv: np.ndarray, wv: np.ndarray) -> np.nd
     u2 = uv * uv
     out = np.zeros_like(wv)
     for axis, h in enumerate(bg.grid.spacings):
-        flux = 0.5 * _periodic_diff(u2, axis, op=np.add) * _periodic_diff(wv, axis)
-        out += _periodic_diff(flux, axis, backward=True) / (h * h)
+        flux = 0.5 * (np.roll(u2, -1, axis) + u2) * (np.roll(wv, -1, axis) - wv)
+        out += (flux - np.roll(flux, 1, axis)) / (h * h)
     return _power(uv, -(bg.big_n + 1.0)) * out
 
 

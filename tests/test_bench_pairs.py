@@ -56,6 +56,27 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, stubbed):
     assert report["parent"] == "abc123"
 
 
+@pytest.mark.parametrize(
+    "dirty, uncommitted",
+    [(" M README.md", False), (" M src/yamabeflow/flow.py", True), ("?? perfbench/new.py", True)],
+)
+def test_only_the_measured_code_marks_the_change_uncommitted(
+    tmp_path, stubbed, monkeypatch, dirty, uncommitted
+):
+    """The stubbed ``git status`` lists one changed file, filtered by the pathspec it is given:
+    a Markdown file that no run reads leaves the change labelled as its commit."""
+
+    def git(*args):
+        if args[0] != "status":
+            return "abc123"
+        paths = args[args.index("--") + 1 :] if "--" in args else None
+        return dirty if paths is None or dirty[3:].split("/")[0] in paths else ""
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    change = _main(tmp_path, 1)["change"]
+    assert change == "working tree on abc123" + (" with uncommitted changes" if uncommitted else "")
+
+
 def test_medians_are_taken_per_side(tmp_path, stubbed):
     report = _main(tmp_path, 3)
     for side in ("parent", "change"):

@@ -10,7 +10,6 @@ from yamabeflow.operators import (
     _curvature_values,
     _laplacian_g_values,
     _laplacian_values,
-    _periodic_diff,
     _power,
     _StencilPlan,
     require_positive,
@@ -162,6 +161,9 @@ class TestPower:
         with np.errstate(all="ignore"):
             got = _curvature_values(bg, uv)
             was = np.power(uv, -bg.big_n) * _conformal_values(bg, uv)
+            un = _power(uv, bg.big_n)
+            assert _curvature_values(bg, uv, None, un) is un  # a given u^N is written over
+        assert un.tobytes() == got.tobytes()
         assert np.array_equal(np.isfinite(got), np.isfinite(was))
         assert np.isfinite(got).all() == (scale > 1.0)
 
@@ -296,16 +298,18 @@ STENCIL_GRIDS = pytest.mark.parametrize(
 
 @STENCIL_GRIDS
 def test_stencils_bitwise_equal_reference_forms(grid):
-    # Each stencil takes its differences, face sums and backward fluxes from
-    # one flat-array subtraction (or addition) per axis; the reference forms
-    # above, which take every one from its own np.roll, must agree bit for bit.
+    # The flat Laplacian takes its differences from one flat-array subtraction
+    # per axis, and Laplacian_g its face sums and backward fluxes from the
+    # np.roll forms; the reference forms above, which take every one from its
+    # own np.roll, must agree bit for bit, on a C- and a Fortran-ordered w.
     rng = np.random.default_rng(11)
     bg = constant_background(grid)
     w = rng.standard_normal(grid.shape)
     u = 1.0 + 0.5 * rng.random(grid.shape)
-    lap = _laplacian_values(w, _StencilPlan(grid))
-    assert np.array_equal(lap, _reference_laplacian(w, grid.spacings))
-    assert np.array_equal(_laplacian_g_values(bg, u, w), _reference_laplacian_g(bg, u, w))
+    for v in (w, np.asfortranarray(w)):
+        lap = _laplacian_values(v, _StencilPlan(grid))
+        assert np.array_equal(lap, _reference_laplacian(v, grid.spacings))
+        assert np.array_equal(_laplacian_g_values(bg, u, v), _reference_laplacian_g(bg, u, v))
 
 
 @STENCIL_GRIDS
@@ -378,19 +382,6 @@ def test_green_form_equals_face_weighted_gradient_integral(grid):
         green = -_fsum(w * _laplacian_g_values(bg, u, w) * weight) * grid.cell_volume
         ref = _reference_weighted_gradient_sq_integral(bg, w, u)
         assert abs(green - ref) <= 1e-13 * ref
-
-
-@pytest.mark.parametrize(
-    "v",
-    [(np.arange(24.0).reshape(4, 6) ** 1.5)[:, None, :], np.asfortranarray(np.arange(60.0).reshape(3, 4, 5) ** 1.5)],
-    ids=["size_one_axis", "fortran_order"],
-)
-def test_periodic_diff_equals_roll_forms(v):
-    """A size-one axis (whose stride numpy may report as 0) and a non-C layout change no bit."""
-    for axis in range(v.ndim):
-        assert np.array_equal(_periodic_diff(v, axis), np.roll(v, -1, axis) - v)
-        assert np.array_equal(_periodic_diff(v, axis, backward=True), v - np.roll(v, 1, axis))
-        assert np.array_equal(_periodic_diff(v, axis, op=np.add), v + np.roll(v, -1, axis))
 
 
 def test_constants_map_to_exact_zero_on_non_dyadic_grid():

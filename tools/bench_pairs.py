@@ -6,7 +6,8 @@ Usage (from the repository root)::
         --workload certify-ball --seed 23 --pairs 3 --seconds 30 --out BENCH_N.json
 
 The parent revision is extracted with ``git archive <rev> | tar -x`` into a
-temporary directory; the change is this working tree.  Pair ``k`` (from 0)
+temporary directory; the change is this working tree, labelled "with uncommitted
+changes" when ``src`` or ``perfbench`` differ from its commit.  Pair ``k`` (from 0)
 runs the parent first when ``k`` is even and the change first when it is
 odd, so a drift of the machine's speed does not favour one side.  Each run's
 last stdout line (the result object) is written, tagged with its workload,
@@ -158,12 +159,13 @@ def main(argv=None) -> int:
                                  "first": order[0], "result": result, **kept})
                     print(workload, pair, side, json.dumps(result["metrics"]), file=sys.stderr)
 
+    dirty = git("status", "--porcelain", "--", "src", "perfbench")  # the code a run reads
     report = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "parent": parent_sha,
         "change": f"working tree on {git('rev-parse', 'HEAD')}"
-                  + (" with uncommitted changes" if git("status", "--porcelain") else ""),
+                  + (" with uncommitted changes" if dirty else ""),
         "medians": per_side(runs, statistics.median),
         "quartiles": per_side(runs, quartiles),
         "digests_agree": digests_agree(runs),
