@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import _StateEval
-from .grid import ScalarField, SubdomainMask, _fsum, require_same_grid
-from .operators import Background, _laplacian_g_values, _power
+from .grid import ScalarField, SubdomainMask, _fsum, _power, require_same_grid
+from .operators import Background, _laplacian_g_values
 
 __all__ = [
     "GrowthFit",

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ComputationFailure, PositivityCollapseError
-from .grid import GridSpec, ScalarField, _fsum, require_same_grid
+from .grid import GridSpec, ScalarField, _fsum, _power, require_same_grid
 from .operators import (
     Background,
     _conformal_values,
     _curvature_values,
-    _power,
     _StencilPlan,
     energy,
     require_positive,

@@ -198,6 +198,22 @@ def _fsum(values: np.ndarray) -> float:
         return math.nan
 
 
+def _power(x: np.ndarray, p: float, out=None) -> np.ndarray:
+    """``x**p`` into ``out`` (fresh when not given, never ``x``) for ``x >= 0``: by products and,
+    for a half power, one ``np.sqrt`` when ``2p`` is a whole number from 3 to 13, within a few
+    ulp of ``np.power`` and a few times faster; otherwise by ``np.power`` itself, bit for bit."""
+    twice = 2.0 * p
+    if not (3.0 <= twice <= 13.0 and twice.is_integer()):
+        return np.power(x, p, out=out)
+    k, half = divmod(int(twice), 2)
+    acc = x
+    for bit in bin(k)[3:]:  # left-to-right binary powering: square, and times x on a set bit
+        acc = out = np.multiply(acc, acc, out=out)
+        if bit == "1":
+            acc *= x
+    return np.multiply(acc, np.sqrt(x), out=out) if half else acc
+
+
 def integrate(w: ScalarField) -> float:
     """Cell-sum integral of ``w`` against the background volume element."""
     finite = np.isfinite(w.values)
@@ -215,7 +231,7 @@ def lp_norm(w: ScalarField, weight: ScalarField, p: float) -> float:
     if weight.values.min() < 0.0:
         flat, multi = _first_bad_index(weight.values < 0.0)
         raise ValueError(f"negative weight at flat index {flat} {multi}")
-    total = _fsum(np.abs(w.values) ** p * weight.values) * w.grid.cell_volume
+    total = _fsum(_power(np.abs(w.values), p) * weight.values) * w.grid.cell_volume
     return total ** (1.0 / p)
 
 

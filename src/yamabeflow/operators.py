@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PositivityError
-from .grid import GridSpec, ScalarField, _first_bad_index, _fsum, require_same_grid
+from .grid import GridSpec, ScalarField, _first_bad_index, _fsum, _power, require_same_grid
 
 __all__ = [
     "Background",
@@ -121,22 +121,6 @@ def _conformal_values(bg: Background, v: np.ndarray, out=None, plan=None) -> np.
     out *= -bg.c_n
     out += np.multiply(bg.r0.values, v, out=plan.scratch[0])
     return out
-
-
-def _power(x: np.ndarray, p: float, out=None) -> np.ndarray:
-    """``x**p`` into ``out`` (fresh when not given, never ``x``) for ``x >= 0``: by products and,
-    for a half power, one ``np.sqrt`` when ``2p`` is a whole number from 3 to 13, within a few
-    ulp of ``np.power`` and a few times faster; otherwise by ``np.power`` itself, bit for bit."""
-    twice = 2.0 * p
-    if not (3.0 <= twice <= 13.0 and twice.is_integer()):
-        return np.power(x, p, out=out)
-    k, half = divmod(int(twice), 2)
-    acc = x
-    for bit in bin(k)[3:]:  # left-to-right binary powering: square, and times x on a set bit
-        acc = out = np.multiply(acc, acc, out=out)
-        if bit == "1":
-            acc *= x
-    return np.multiply(acc, np.sqrt(x), out=out) if half else acc
 
 
 def _curvature_values(bg: Background, uv: np.ndarray, conf=None, un=None) -> np.ndarray:

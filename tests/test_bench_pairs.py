@@ -21,7 +21,7 @@ def stubbed(monkeypatch):
     calls = []
 
     def fake_bench(tree, workload, seed, seconds):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = tree.name
         calls.append((workload, side))
         value = float(len(calls)) + (100.0 if side == "change" else 0.0)
         result = {"metrics": {"wall_rel": {"value": value}, "pass_frac": {"value": 1.0}}}
@@ -53,18 +53,42 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, stubbed):
     ]
     assert all(r["digests"] == {"final.u.yflo": r["side"]} for r in runs)
     assert all(r["import_runs_s"] == [0.1] for r in runs)
-    assert report["parent"] == "abc123"
+    assert report["parent"] == report["change"] == "abc123"
+
+
+def test_both_sides_are_extracted_into_sibling_trees(tmp_path, stubbed, monkeypatch):
+    """``--parent``'s commit and ``HEAD``'s go into two sibling directories of one temporary
+    directory, with paths of equal length, and each side runs in its own."""
+    shas = {"HEAD~1^{commit}": "a" * 40, "HEAD^{commit}": "b" * 40}
+    extracted, ran = [], []
+    stub = bench_pairs.bench
+
+    def bench(tree, *rest):
+        ran.append(tree)
+        return stub(tree, *rest)
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else shas[args[-1]])
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append((rev, dest)))
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    report = _main(tmp_path, 2)
+    (parent_sha, parent), (change_sha, change) = extracted
+    assert (parent_sha, change_sha) == (report["parent"], report["change"]) == ("a" * 40, "b" * 40)
+    assert (parent.name, change.name) == ("parent", "change")
+    assert parent.parent == change.parent != bench_pairs.ROOT
+    assert len(str(parent)) == len(str(change))
+    assert ran == [parent, change, change, parent]
 
 
 @pytest.mark.parametrize(
-    "dirty, uncommitted",
+    "dirty, refused",
     [(" M README.md", False), (" M src/yamabeflow/flow.py", True), ("?? perfbench/new.py", True)],
 )
 def test_only_the_measured_code_marks_the_change_uncommitted(
-    tmp_path, stubbed, monkeypatch, dirty, uncommitted
+    tmp_path, stubbed, monkeypatch, capsys, dirty, refused
 ):
     """The stubbed ``git status`` lists one changed file, filtered by the pathspec it is given:
-    a Markdown file that no run reads leaves the change labelled as its commit."""
+    a Markdown file that no run reads is measured as ``HEAD``, while uncommitted code under
+    ``src`` or ``perfbench``, which no side would run, is a usage error before any run."""
 
     def git(*args):
         if args[0] != "status":
@@ -73,8 +97,14 @@ def test_only_the_measured_code_marks_the_change_uncommitted(
         return dirty if paths is None or dirty[3:].split("/")[0] in paths else ""
 
     monkeypatch.setattr(bench_pairs, "git", git)
-    change = _main(tmp_path, 1)["change"]
-    assert change == "working tree on abc123" + (" with uncommitted changes" if uncommitted else "")
+    if not refused:
+        assert _main(tmp_path, 1)["change"] == "abc123"
+        return
+    with pytest.raises(SystemExit) as info:
+        _main(tmp_path, 1)
+    assert info.value.code == 2
+    assert "src or perfbench differ from HEAD" in capsys.readouterr().err
+    assert stubbed == []
 
 
 def test_medians_are_taken_per_side(tmp_path, stubbed):
@@ -155,7 +185,7 @@ def test_wins_follow_each_metrics_better(tmp_path, stubbed, monkeypatch):
     parent = {0: (1.0, 1.0), 1: (1.0, 0.5), 2: (0.6, 0.5)}
 
     def bench(tree, workload, seed, seconds):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = tree.name
         stubbed.append((workload, side))
         pair = sum(1 for _, s in stubbed if s == side) - 1
         wall, passed = (change if side == "change" else parent)[pair]

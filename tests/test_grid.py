@@ -98,8 +98,9 @@ class TestScalarField:
             yf.ScalarField(grid8, vals)
 
     def test_rejects_wrong_size(self, grid8):
-        with pytest.raises(ValueError):
-            yf.ScalarField(grid8, np.zeros(7))
+        for make, values in ((yf.ScalarField, np.zeros(7)), (SubdomainMask, np.ones(7, dtype=bool))):
+            with pytest.raises(ValueError, match="got 7"):
+                make(grid8, values)
 
     def test_grid_mismatch_detected(self, grid8):
         other = yf.ScalarField.constant(unit_grid(4), 1.0)

@@ -4,13 +4,12 @@ import pytest
 import yamabeflow as yf
 from yamabeflow.errors import PositivityError
 from yamabeflow.flow import _Workspace
-from yamabeflow.grid import _fsum
+from yamabeflow.grid import _fsum, _power
 from yamabeflow.operators import (
     _conformal_values,
     _curvature_values,
     _laplacian_g_values,
     _laplacian_values,
-    _power,
     _StencilPlan,
     require_positive,
 )

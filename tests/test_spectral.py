@@ -161,12 +161,13 @@ class TestStructure:
             yf.dirichlet_eigen(bg8, SubdomainMask.full(bg8.grid), tol=math.nan)
 
     def test_failed_inner_solve_raises(self, bg8, monkeypatch):
-        def failing_cg(op, b, **kwargs):
-            return b.copy(), 1
-
-        monkeypatch.setattr(spectral, "cg", failing_cg)
-        with pytest.raises(EigenConvergenceError, match="inner CG"):
-            yf.dirichlet_eigen(bg8, ball_mask(bg8.grid, (0.5, 0.5, 0.5), 0.3))
+        """A solve that reports failure, and one that reports success with a zero iterate."""
+        cases = ((lambda op, b, **kwargs: (b.copy(), 1), "inner CG solve failed"),
+                 (lambda op, b, **kwargs: (np.zeros_like(b), 0), "collapsed to zero"))
+        for failing_cg, message in cases:
+            monkeypatch.setattr(spectral, "cg", failing_cg)
+            with pytest.raises(EigenConvergenceError, match=message):
+                yf.dirichlet_eigen(bg8, ball_mask(bg8.grid, (0.5, 0.5, 0.5), 0.3))
 
     def test_unreachable_tol_raises_after_max_iterations(self, bg8):
         """No residual reaches 1e-300: the outer loop runs out, naming its best residual."""

@@ -5,28 +5,26 @@ Usage (from the repository root)::
     python3 tools/bench_pairs.py --parent HEAD~1 --workload trapped-flow \\
         --workload certify-ball --seed 23 --pairs 3 --seconds 30 --out BENCH_N.json
 
-The parent revision is extracted with ``git archive <rev> | tar -x`` into a
-temporary directory; the change is this working tree, labelled "with uncommitted
-changes" when ``src`` or ``perfbench`` differ from its commit.  Pair ``k`` (from 0)
-runs the parent first when ``k`` is even and the change first when it is
-odd, so a drift of the machine's speed does not favour one side.  Each run's
-last stdout line (the result object) is written, tagged with its workload,
-pair, side and the side that ran first, together with what the line before
-it says about where the time went (the output digests, the fresh-interpreter
-import times ``import_runs_s``, the workload set-up times ``setup_runs_s``,
-the first repetition's wall time ``wall_first_s``, the median wall time
-``wall_median_s`` and, beside it, the median reference-kernel time
-``ref_median_s``, so that a change of ``wall_rel`` shows whether the workload
-or the reference moved), and the per-side median and quartiles of every metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``,
-numpy's default interpolation; the spread between them is what decides
-whether a difference of medians is resolved.  ``digests_agree`` says, per
-workload, whether every run on both sides reported the same output digests,
-which is what a change meant to be bit-identical must show; ``digests_repeat`` says, per
-workload and side, whether every run of that side reported the same digests, which a change
-that moves the numbers on purpose must still show.  ``wins`` gives, per workload
-and end-to-end metric of ``BENCHMARK.json`` (read, never written), the pairs whose change run
-beat its parent run in the direction of the metric's ``better``, out of the pairs run; a tie
-counts for neither side.  Standard library only.
+Both sides are commits, built alike: ``--parent``'s commit and ``HEAD`` are each extracted by
+``git archive <sha> | tar -x`` into ``parent`` or ``change``, sibling directories of one
+temporary directory.  ``--parent HEAD`` is an A/A pass, a commit against itself.  Uncommitted
+changes under ``src`` or ``perfbench``, the code a run reads, are refused: no side runs them.
+Even pairs, counted from 0, run the parent first and odd pairs the change first, so a drift of
+machine speed does not favour one side.  Each run's last stdout line (the result object) is
+written, tagged with its workload, pair, side and the side that ran first, together with what
+the line before it says about where the time went (the output digests, the fresh-interpreter
+import times ``import_runs_s``, the workload set-up times ``setup_runs_s``, the first
+repetition's wall time ``wall_first_s``, the median wall time ``wall_median_s`` and, beside it,
+the median reference-kernel time ``ref_median_s``, so that a change of ``wall_rel`` shows
+whether the workload or the reference moved), and the per-side median and quartiles of every
+metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``, numpy's default
+interpolation; their spread decides whether a difference of medians is resolved.
+``digests_agree`` says, per workload, whether every run on both sides reported the same output
+digests, as a change meant to be bit-identical must; ``digests_repeat`` says, per workload and
+side, whether every run of that side reported the same digests, as one that moves the numbers on
+purpose still must.  ``wins`` gives, per workload and end-to-end metric of ``BENCHMARK.json``
+(only read), the pairs whose change run beat its parent run in the direction of the metric's
+``better``, out of the pairs run; a tie counts for neither side.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ def git(*args: str) -> str:
 
 
 def extract(rev: str, dest: Path) -> None:
+    dest.mkdir()
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
     try:
         subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
@@ -142,14 +141,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if git("status", "--porcelain", "--", "src", "perfbench"):  # the code a run reads
+        parser.error("src or perfbench differ from HEAD: commit them, since only commits are run")
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in end_to_end}
-    parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    shas = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
+            for side, rev in (("parent", args.parent), ("change", "HEAD"))}
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
-        extract(parent_sha, trees["parent"])
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp, side) for side in shas}  # equal-length sibling paths
+        for side, sha in shas.items():
+            extract(sha, trees[side])
         for workload in args.workload:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -159,13 +162,10 @@ def main(argv=None) -> int:
                                  "first": order[0], "result": result, **kept})
                     print(workload, pair, side, json.dumps(result["metrics"]), file=sys.stderr)
 
-    dirty = git("status", "--porcelain", "--", "src", "perfbench")  # the code a run reads
     report = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
-        "parent": parent_sha,
-        "change": f"working tree on {git('rev-parse', 'HEAD')}"
-                  + (" with uncommitted changes" if dirty else ""),
+        **shas,
         "medians": per_side(runs, statistics.median),
         "quartiles": per_side(runs, quartiles),
         "digests_agree": digests_agree(runs),
