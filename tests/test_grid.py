@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import yamabeflow as yf
 from yamabeflow import flow as flowmod
 from yamabeflow import grid as gridmod
-from yamabeflow.errors import GridMismatchError, NonFiniteFieldError
+from yamabeflow.errors import GridMismatchError, NonFiniteFieldError, PositivityError
 from yamabeflow.grid import SubdomainMask, _fsum, chebyshev_distance, require_same_grid
+from yamabeflow.operators import require_positive
 
 from conftest import periodic_gaussian, trapped_bump_background, unit_grid
 
@@ -172,6 +173,44 @@ class TestLpNorm:
         bad = yf.ScalarField.constant(grid8, -1.0)
         with pytest.raises(ValueError):
             yf.lp_norm(w, bad, 2.0)
+
+
+def _bad_at_1_2_3(value, base=1.0):
+    """A 4x5x6 field of ``base`` with ``value`` at (1, 2, 3), flat index 45."""
+    vals = np.full((4, 5, 6), base)
+    vals[1, 2, 3] = value
+    return vals
+
+
+def _integrate_inf(grid):
+    w = yf.ScalarField.constant(grid, 1.0)
+    w.values[...] = _bad_at_1_2_3(math.inf)
+    yf.integrate(w)
+
+
+@pytest.mark.parametrize(
+    "fail, error, message",
+    [
+        (lambda g: yf.ScalarField(g, _bad_at_1_2_3(math.nan)), NonFiniteFieldError,
+         "non-finite value np.float64(nan) at flat index 45 (1, 2, 3)"),
+        (_integrate_inf, NonFiniteFieldError, "non-finite value at flat index 45 (1, 2, 3)"),
+        (lambda g: yf.lp_norm(yf.ScalarField.constant(g, 1.0),
+                              yf.ScalarField(g, _bad_at_1_2_3(-0.5)), 2.0),
+         ValueError, "negative weight at flat index 45 (1, 2, 3)"),
+        (lambda g: yf.Background(g, yf.ScalarField(g, _bad_at_1_2_3(0.5, -1.0)),
+                                 yf.ScalarField.constant(g, -1.0)),
+         ValueError, "R0 must be negative everywhere; R0=0.5 at flat index 45 (1, 2, 3)"),
+        (lambda g: require_positive(yf.ScalarField(g, _bad_at_1_2_3(-0.5)), "u0"),
+         PositivityError, "u0 must be positive everywhere; u0=-0.5 at flat index 45 (1, 2, 3)"),
+    ],
+    ids=["scalar_field_nan", "integrate_inf", "lp_norm_weight", "background_r0", "positive_u0"],
+)
+def test_bad_values_are_located_in_full(fail, error, message):
+    """Each message names the first bad value's flat index and its (i, j, k), byte for byte."""
+    with pytest.raises(error) as exc:
+        fail(yf.GridSpec(3, (4, 5, 6), (1.0, 1.0, 1.0)))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 class TestMasks:
