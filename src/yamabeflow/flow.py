@@ -126,12 +126,19 @@ class _Workspace:
         self.plan = _StencilPlan(grid, (self.a, self.b))
 
 
-def _residual_velocity(bg: Background, uv: np.ndarray, conf=None, un=None, vel=None):
+def _residual(bg: Background, uv: np.ndarray, ws: _Workspace, un=None) -> np.ndarray:
+    """``R_g - f`` at ``uv`` over ``un``, or over ``ws.a`` when not given; ``L0 u`` in ``ws.c``."""
+    conf = _conformal_values(bg, uv, ws.c, ws.plan)
+    un = un if un is not None else _power(uv, bg.big_n, ws.a)  # the stencil is done with ws.a
     resid = _curvature_values(bg, uv, conf, un)
     resid -= bg.f.values
+    return resid
+
+
+def _velocity(bg: Background, uv: np.ndarray, resid: np.ndarray, vel=None) -> np.ndarray:
     vel = np.multiply(-0.25 * (bg.n - 2), resid, out=vel)
     vel *= uv
-    return resid, vel
+    return vel
 
 
 class _StateEval:
@@ -153,9 +160,10 @@ class _StateEval:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             un = _power(uv, bg.big_n)
             self.weight = un * uv
-            conf = _conformal_values(bg, uv, ws.c, ws.plan)
-            self.energy = energy(bg, u, conf, self.weight)
-            self.resid, self.velocity = _residual_velocity(bg, uv, conf, un)
+            self.resid = _residual(bg, uv, ws, un)
+            self.energy = energy(bg, u, ws.c, self.weight)
+            # Allocated after the energy frees its temporaries, else glibc trims the heap each step
+            self.velocity = _velocity(bg, uv, self.resid)
             self.residual_sup = float(np.maximum.reduce(np.abs(self.resid, out=ws.a), None))
             sq = np.multiply(np.multiply(self.resid, self.resid, out=ws.a), self.weight, out=ws.a)
             self.sq = _fsum(sq) * bg.grid.cell_volume
@@ -178,7 +186,8 @@ def velocity(bg: Background, u: ScalarField) -> ScalarField:
     """Pointwise flow velocity ``-((n-2)/4) (R_g - f) u``."""
     require_same_grid(bg, u)
     require_positive(u)
-    return ScalarField(u.grid, _residual_velocity(bg, u.values)[1])
+    uv = u.values
+    return ScalarField(u.grid, _velocity(bg, uv, _residual(bg, uv, _Workspace(bg.grid))))
 
 
 def stable_dt(
@@ -222,8 +231,7 @@ def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float, ws) -> n
         s = np.add(uv, np.multiply(c * dt, k_prev, out=ws.stage), out=ws.stage)
         if not _admissible(s):
             return None
-        conf = _conformal_values(bg, s, ws.c, ws.plan)  # its stencil scratch includes ws.a
-        _residual_velocity(bg, s, conf, _power(s, bg.big_n, ws.a), k)
+        _velocity(bg, s, _residual(bg, s, ws), k)
     acc = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
     acc += np.multiply(2.0, k3, out=k3)
     acc += k4
@@ -242,8 +250,8 @@ def step(bg: Background, state: FlowState, dt: float, ev=None, ws=None) -> FlowS
     if not 0.0 < dt < math.inf:  # NaN fails too
         raise ValueError(f"dt must be positive and finite, got {dt}")
     uv = state.u.values
-    k1 = ev.velocity if ev is not None else _residual_velocity(bg, uv)[1]
     ws = ws if ws is not None else _Workspace(bg.grid)
+    k1 = ev.velocity if ev is not None else _velocity(bg, uv, _residual(bg, uv, ws))
     for _ in range(41):
         out = _try_rk4(bg, uv, k1, dt, ws)
         if out is not None:
@@ -304,9 +312,7 @@ def run(
 
         if ev.residual_sup <= cfg.residual_stop:
             outcome = "converged"
-        elif state.t >= cfg.t_max:
-            outcome = "timeout"
-        elif cfg.max_steps is not None and state.step >= cfg.max_steps:
+        elif state.t >= cfg.t_max or (cfg.max_steps is not None and state.step >= cfg.max_steps):
             outcome = "timeout"
         elif ev.max_u >= cfg.blowup_ceiling:
             outcome = "blow-up"

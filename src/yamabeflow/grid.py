@@ -81,9 +81,9 @@ class GridSpec:
         return list(np.meshgrid(*axes, indexing="ij"))
 
 
-def _first_bad_index(bad: np.ndarray) -> tuple[int, tuple[int, ...]]:
+def _first_bad_index(bad: np.ndarray) -> str:
     flat = int(np.flatnonzero(bad.ravel(order="C"))[0])
-    return flat, tuple(int(i) for i in np.unravel_index(flat, bad.shape))
+    return f"at flat index {flat} {tuple(int(i) for i in np.unravel_index(flat, bad.shape))}"
 
 
 class ScalarField:
@@ -100,10 +100,8 @@ class ScalarField:
         arr = np.ascontiguousarray(arr.reshape(grid.shape))
         finite = np.isfinite(arr)
         if not finite.all():
-            flat, multi = _first_bad_index(~finite)
-            raise NonFiniteFieldError(
-                f"non-finite value {arr.reshape(-1)[flat]!r} at flat index {flat} {multi}"
-            )
+            bad = ~finite
+            raise NonFiniteFieldError(f"non-finite value {arr[bad][0]!r} {_first_bad_index(bad)}")
         self.grid = grid
         self.values = arr
 
@@ -218,8 +216,7 @@ def integrate(w: ScalarField) -> float:
     """Cell-sum integral of ``w`` against the background volume element."""
     finite = np.isfinite(w.values)
     if not finite.all():
-        flat, multi = _first_bad_index(~finite)
-        raise NonFiniteFieldError(f"non-finite value at flat index {flat} {multi}")
+        raise NonFiniteFieldError(f"non-finite value {_first_bad_index(~finite)}")
     return _fsum(w.values) * w.grid.cell_volume
 
 
@@ -229,8 +226,7 @@ def lp_norm(w: ScalarField, weight: ScalarField, p: float) -> float:
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be >= 1 and finite, got {p}")
     if weight.values.min() < 0.0:
-        flat, multi = _first_bad_index(weight.values < 0.0)
-        raise ValueError(f"negative weight at flat index {flat} {multi}")
+        raise ValueError(f"negative weight {_first_bad_index(weight.values < 0.0)}")
     total = _fsum(_power(np.abs(w.values), p) * weight.values) * w.grid.cell_volume
     return total ** (1.0 / p)
 

@@ -45,11 +45,9 @@ class Background:
         require_same_grid(self, self.r0)
         require_same_grid(self, self.f)
         if self.r0.max() >= 0.0:
-            flat, multi = _first_bad_index(self.r0.values >= 0.0)
-            raise ValueError(
-                f"R0 must be negative everywhere; R0={self.r0.values.reshape(-1)[flat]:g} "
-                f"at flat index {flat} {multi}"
-            )
+            bad = self.r0.values >= 0.0
+            r0 = self.r0.values[bad][0]
+            raise ValueError(f"R0 must be negative everywhere; R0={r0:g} {_first_bad_index(bad)}")
 
     # Read on every stage of every step, so each is computed once per background.
     @cached_property
@@ -68,10 +66,10 @@ class Background:
 
 def require_positive(u: ScalarField, what: str = "u"):
     if np.minimum.reduce(u.values, None) <= 0.0:
-        flat, multi = _first_bad_index(u.values <= 0.0)
+        bad = u.values <= 0.0
         raise PositivityError(
-            f"{what} must be positive everywhere; {what}="
-            f"{u.values.reshape(-1)[flat]:g} at flat index {flat} {multi}"
+            f"{what} must be positive everywhere; {what}={u.values[bad][0]:g} "
+            f"{_first_bad_index(bad)}"
         )
 
 
