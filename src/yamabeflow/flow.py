@@ -91,6 +91,10 @@ class FlowConfig:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        for name in ("record_every", "max_steps"):  # a step count; NaN and inf fail too
+            value = getattr(self, name)
+            if value is not None and not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number, got {value}")
 
     @staticmethod
     def resolve_orders(n: int) -> tuple[float, ...]:

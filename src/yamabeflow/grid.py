@@ -42,6 +42,8 @@ class GridSpec:
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(float(s).is_integer() for s in self.sizes):  # int() would truncate 4.9 to 4
+            raise ValueError(f"all sizes must be whole numbers, got {tuple(self.sizes)}")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if self.n < 3:
@@ -101,7 +103,7 @@ class ScalarField:
         finite = np.isfinite(arr)
         if not finite.all():
             bad = ~finite
-            raise NonFiniteFieldError(f"non-finite value {arr[bad][0]!r} {_first_bad_index(bad)}")
+            raise NonFiniteFieldError(f"non-finite value {arr[bad][0]:g} {_first_bad_index(bad)}")
         self.grid = grid
         self.values = arr
 

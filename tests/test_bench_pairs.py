@@ -129,6 +129,13 @@ def test_quartiles_are_taken_per_side(tmp_path, stubbed, pairs, parent, change):
     }
 
 
+def test_resolved_compares_the_medians_with_the_parents_quartile_spread(tmp_path, stubbed):
+    """wall_rel: parent runs 1, 4, 5 (median 4, quartiles 2.5 and 4.5), change 102, 103, 106
+    (median 103), a shift of 99 against a spread of 2; pass_frac: 1.0 on both sides, a shift of 0
+    against a spread of 0, which is not more than it."""
+    assert _main(tmp_path, 3)["resolved"] == {"w": {"wall_rel": True, "pass_frac": False}}
+
+
 def test_digests_that_differ_by_side_do_not_agree(tmp_path, stubbed):
     """The stub's digests name the side that ran, so parent and change disagree."""
     assert _main(tmp_path, 2)["digests_agree"] == {"w": False}

@@ -427,6 +427,9 @@ class TestResumeCarry:
             yf.FlowConfig(fixed_dt=-1.0)
         with pytest.raises(ValueError, match="max_steps must be >= 0"):
             yf.FlowConfig(max_steps=-3)
+        for name in ("record_every", "max_steps"):  # 2.5 used to record every 5 or stop at 3
+            with pytest.raises(ValueError, match=f"{name} must be a whole number, got 2.5"):
+                yf.FlowConfig(**{name: 2.5})
 
     @pytest.mark.parametrize(
         "field, value",

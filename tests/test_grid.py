@@ -36,8 +36,10 @@ class TestGridSpec:
             yf.GridSpec(2, (8, 8), (1.0, 1.0))
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            yf.GridSpec(3, (8, 8, 3), (1.0, 1.0, 1.0))
+        for sizes, message in (((8, 8, 3), ">= 4"), ((4.9, 4, 4), "whole numbers"),
+                               ((8, math.inf, 8), "whole numbers")):
+            with pytest.raises(ValueError, match=message):  # 4.9 was truncated, inf overflowed
+                yf.GridSpec(3, sizes, (1.0, 1.0, 1.0))
 
     def test_positive_lengths(self):
         with pytest.raises(ValueError):
@@ -192,7 +194,7 @@ def _integrate_inf(grid):
     "fail, error, message",
     [
         (lambda g: yf.ScalarField(g, _bad_at_1_2_3(math.nan)), NonFiniteFieldError,
-         "non-finite value np.float64(nan) at flat index 45 (1, 2, 3)"),
+         "non-finite value nan at flat index 45 (1, 2, 3)"),
         (_integrate_inf, NonFiniteFieldError, "non-finite value at flat index 45 (1, 2, 3)"),
         (lambda g: yf.lp_norm(yf.ScalarField.constant(g, 1.0),
                               yf.ScalarField(g, _bad_at_1_2_3(-0.5)), 2.0),

@@ -18,7 +18,8 @@ repetition's wall time ``wall_first_s``, the median wall time ``wall_median_s`` 
 the median reference-kernel time ``ref_median_s``, so that a change of ``wall_rel`` shows
 whether the workload or the reference moved), and the per-side median and quartiles of every
 metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``, numpy's default
-interpolation; their spread decides whether a difference of medians is resolved.
+interpolation.  ``resolved`` says, per workload and end-to-end metric, whether the change median
+differs from the parent median by more than the distance between the parent's quartiles.
 ``digests_agree`` says, per workload, whether every run on both sides reported the same output
 digests, as a change meant to be bit-identical must; ``digests_repeat`` says, per workload and
 side, whether every run of that side reported the same digests, as one that moves the numbers on
@@ -130,6 +131,19 @@ def wins(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def resolved(medians: dict, spreads: dict, names) -> dict:
+    """Per workload and metric of ``names``, whether the change and parent medians differ by more
+    than the distance between the parent's quartiles, ``spreads`` being ``per_side`` quartiles."""
+    out: dict = {}
+    for workload, sides in medians.items():
+        for name in names:
+            if name in sides["parent"] and name in sides["change"]:
+                lo, hi = spreads[workload]["parent"][name]
+                shift = abs(sides["change"][name] - sides["parent"][name])
+                out.setdefault(workload, {})[name] = shift > hi - lo
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -162,12 +176,14 @@ def main(argv=None) -> int:
                                  "first": order[0], "result": result, **kept})
                     print(workload, pair, side, json.dumps(result["metrics"]), file=sys.stderr)
 
+    medians, spreads = per_side(runs, statistics.median), per_side(runs, quartiles)
     report = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         **shas,
-        "medians": per_side(runs, statistics.median),
-        "quartiles": per_side(runs, quartiles),
+        "medians": medians,
+        "quartiles": spreads,
+        "resolved": resolved(medians, spreads, better),
         "digests_agree": digests_agree(runs),
         "digests_repeat": digests_repeat(runs),
         "wins": wins(runs, better),
