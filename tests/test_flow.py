@@ -9,7 +9,12 @@ from scipy.integrate import solve_ivp
 import yamabeflow as yf
 from yamabeflow import flow as flowmod
 from yamabeflow.cli import _csv_row
-from yamabeflow.errors import ComputationFailure, GridMismatchError, PositivityCollapseError
+from yamabeflow.errors import (
+    ComputationFailure,
+    GridMismatchError,
+    PositivityCollapseError,
+    PositivityError,
+)
 from yamabeflow.flow import FlowState
 from yamabeflow.grid import _fsum
 from yamabeflow.operators import _curvature_values
@@ -118,6 +123,47 @@ class TestStep:
         state = FlowState(yf.ScalarField.constant(grid8, 1.0), 0.0, 0, 0.0)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             yf.step(bg, state, dt)
+
+
+def _window(u):
+    return [FlowState(u, 0.1 * i, i, 0.1) for i in range(3)]
+
+
+# Each entry point that evaluates a state, called on that state alone.
+ENTRY_POINTS = {
+    "step": lambda bg, u: yf.step(bg, FlowState(u, 0.0, 0, 0.0), 1e-4),
+    "stable_dt": lambda bg, u: yf.stable_dt(bg, u, 0.8),
+    "velocity": yf.velocity,
+    "curvature_evolution_error": lambda bg, u: yf.curvature_evolution_error(bg, _window(u)),
+    "lemma_p_balance_error": lambda bg, u: yf.lemma_p_balance_error(bg, _window(u)),
+}
+
+
+def _refused(case):
+    """The background, the state, the error and its whole message (None: any) of ``case``."""
+    if case == "negative":
+        grid = yf.GridSpec(3, (4, 5, 6), (1.0, 1.0, 1.0))
+        uv = np.ones(grid.shape)
+        uv[1, 2, 3] = -0.5
+        message = "u must be positive everywhere; u=-0.5 at flat index 45 (1, 2, 3)"
+        return constant_background(grid), yf.ScalarField(grid, uv), PositivityError, message
+    foreign = unit_grid(6) if case == "6^3" else unit_grid(8, length=2.0)
+    u = yf.ScalarField.constant(foreign, 1.0)
+    return constant_background(unit_grid(8)), u, GridMismatchError, None
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [(entry, case) for entry in ENTRY_POINTS for case in ("6^3", "doubled_lengths", "negative")
+     if not (case == "6^3" and entry.endswith("_error"))],
+)
+def test_entry_points_refuse_a_state_alike(entry, case):
+    """A state on a foreign grid, or with a non-positive value, is refused by every entry point
+    with the same error type and, for positivity, the same message byte for byte."""
+    bg, u, error, message = _refused(case)
+    with pytest.raises(error) as info:
+        ENTRY_POINTS[entry](bg, u)
+    assert message is None or str(info.value) == message
 
 
 class TestRunAgainstScalarOracle:
