@@ -90,7 +90,8 @@ def _check_window(bg: Background, states) -> tuple[float, list[_StateEval]]:
     dt2 = states[2].t - states[1].t
     if dt1 <= 0.0 or abs(dt2 - dt1) > 1e-12 * max(dt1, dt2):
         raise ValueError(f"states must be equally spaced in t, got spacings {dt1}, {dt2}")
-    return dt1, [_StateEval(bg, s.u) for s in states]
+    first = _StateEval(bg, states[0].u)
+    return dt1, [first, *(_StateEval(bg, s.u, first.ws) for s in states[1:])]
 
 
 def curvature_evolution_error(bg: Background, states) -> float:

@@ -22,7 +22,6 @@ from .grid import GridSpec, ScalarField, _fsum, _power, require_same_grid
 from .operators import (
     Background,
     _conformal_values,
-    _curvature_values,
     _StencilPlan,
     energy,
     require_positive,
@@ -119,7 +118,7 @@ class Trajectory:
 
 
 class _Workspace:
-    """One ``run``'s scratch arrays, none of which a caller keeps: ``a``, ``b``, ``c`` for the
+    """An evaluation's scratch arrays, none of which a caller keeps: ``a``, ``b``, ``c`` for the
     stencil, whose ``plan`` is over ``a`` and ``b``, and a state's reductions, ``stage`` and ``ks``
     for an RK4 attempt's k2..k4.  Seven arrays, not one block: freeing a block past malloc's mmap
     threshold raises it process-wide."""
@@ -131,10 +130,10 @@ class _Workspace:
 
 
 def _residual(bg: Background, uv: np.ndarray, ws: _Workspace, un=None) -> np.ndarray:
-    """``R_g - f`` at ``uv`` over ``un``, or over ``ws.a`` when not given; ``L0 u`` in ``ws.c``."""
+    """``L0 u / u^N - f`` at ``uv`` over ``un``, else over ``ws.a``; ``L0 u`` in ``ws.c``."""
     conf = _conformal_values(bg, uv, ws.c, ws.plan)
     un = un if un is not None else _power(uv, bg.big_n, ws.a)  # the stencil is done with ws.a
-    resid = _curvature_values(bg, uv, conf, un)
+    resid = np.divide(conf, un, out=un)
     resid -= bg.f.values
     return resid
 
@@ -146,21 +145,25 @@ def _velocity(bg: Background, uv: np.ndarray, resid: np.ndarray, vel=None) -> np
 
 
 class _StateEval:
-    """Everything the step loop and the window checks read from one state, from one ``R_g - f``.
+    """Everything the flow and the window checks read from one state, from one ``R_g - f``.
 
     ``L0 u`` is applied once: the curvature reads it, and so does the energy's Dirichlet form
     ``u L0 u``, by summation by parts.  ``u^N`` is formed once: the weight is ``u^N u``, and the
     curvature ``L0 u / u^N`` overwrites it to become ``resid``.  A state whose weight overflows,
     or whose ``u^N`` underflows to 0, has a non-finite energy, ``residual_sup`` or ``sq``, and
-    raises ``ComputationFailure`` instead of a numpy warning.  ``L0 u`` and the reductions'
-    temporaries live in the workspace ``ws``; ``resid``, ``weight`` and ``velocity`` are fresh.
+    raises ``ComputationFailure`` instead of a numpy warning; a foreign grid raises
+    ``GridMismatchError`` first, and a non-positive state ``PositivityError`` from the energy.
+    ``L0 u`` and the reductions' temporaries live in the workspace ``ws`` (fresh when not given),
+    as do the RK4 attempts' stages; ``resid``, ``weight`` and ``velocity`` are fresh.
     """
 
-    __slots__ = ("resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy", "sq")
+    __slots__ = ("ws", "resid", "weight", "velocity", "min_u", "max_u", "residual_sup", "energy",
+                 "sq")
 
     def __init__(self, bg: Background, u: ScalarField, ws: _Workspace | None = None):
+        require_same_grid(bg, u)
         uv = u.values
-        ws = ws if ws is not None else _Workspace(bg.grid)
+        self.ws = ws = ws if ws is not None else _Workspace(bg.grid)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             un = _power(uv, bg.big_n)
             self.weight = un * uv
@@ -188,10 +191,7 @@ class _StateEval:
 
 def velocity(bg: Background, u: ScalarField) -> ScalarField:
     """Pointwise flow velocity ``-((n-2)/4) (R_g - f) u``."""
-    require_same_grid(bg, u)
-    require_positive(u)
-    uv = u.values
-    return ScalarField(u.grid, _velocity(bg, uv, _residual(bg, uv, _Workspace(bg.grid))))
+    return ScalarField(u.grid, _StateEval(bg, u).velocity)
 
 
 def stable_dt(
@@ -205,8 +205,6 @@ def stable_dt(
     the state's evaluation when the caller already holds it.  A cap that is
     not a positive finite float raises ``ComputationFailure``.
     """
-    require_same_grid(bg, u)
-    require_positive(u)
     if ev is None:
         ev = _StateEval(bg, u)
     kappa = 0.25 * (bg.n - 2)
@@ -243,21 +241,19 @@ def _try_rk4(bg: Background, uv: np.ndarray, k1: np.ndarray, dt: float, ws) -> n
     return out if _admissible(out) else None
 
 
-def step(bg: Background, state: FlowState, dt: float, ev=None, ws=None) -> FlowState:
+def step(bg: Background, state: FlowState, dt: float, ev=None) -> FlowState:
     """One RK4 step; rejects and halves dt (up to 40 times) on lost positivity.
 
-    ``ev``, the evaluation of ``state`` if the caller holds it, gives stage k1.
-    Each attempt rewrites its stages in the workspace ``ws``; only the new ``u`` is fresh.
+    ``ev``, the evaluation of ``state`` (made here when not given), gives stage k1, and each
+    attempt rewrites its stages in its workspace ``ev.ws``; only the new ``u`` is fresh.
     """
-    require_same_grid(bg, state.u)
-    require_positive(state.u)
+    if ev is None:
+        ev = _StateEval(bg, state.u)
     if not 0.0 < dt < math.inf:  # NaN fails too
         raise ValueError(f"dt must be positive and finite, got {dt}")
     uv = state.u.values
-    ws = ws if ws is not None else _Workspace(bg.grid)
-    k1 = ev.velocity if ev is not None else _velocity(bg, uv, _residual(bg, uv, ws))
     for _ in range(41):
-        out = _try_rk4(bg, uv, k1, dt, ws)
+        out = _try_rk4(bg, uv, ev.velocity, dt, ev.ws)
         if out is not None:
             return FlowState(ScalarField(bg.grid, out), state.t + dt, state.step + 1, dt)
         dt *= 0.5
@@ -301,15 +297,12 @@ def run(
     """
     require_same_grid(bg, u0)
     require_positive(u0, "u0")
-    if start is not None:
-        require_same_grid(bg, start.u)
     orders = FlowConfig.resolve_orders(bg.n)
     state = start if start is not None else FlowState(u0, 0.0, 0, 0.0)
     records: list[DiagnosticsRecord] = []
     rows = []
 
-    ws = _Workspace(bg.grid)
-    ev = _StateEval(bg, state.u, ws)
+    ev = _StateEval(bg, state.u)
     outcome = None
     while True:
         rows.append((state.t, state.dt_last, ev.energy, ev.min_u, ev.max_u))
@@ -339,8 +332,8 @@ def run(
             dt = stable_dt(bg, state.u, cfg.cfl_fraction, ev)
         if state.t + dt > cfg.t_max:
             dt = cfg.t_max - state.t
-        new = step(bg, state, dt, ev, ws)
-        new_ev = _StateEval(bg, new.u, ws)
+        new = step(bg, state, dt, ev)
+        new_ev = _StateEval(bg, new.u, ev.ws)
         dissipation = state.dissipation_cum + 0.5 * (new.t - state.t) * (ev.sq + new_ev.sq)
         counters = state.records_written, state.last_record_step  # the constructor beats replace()
         state, ev = FlowState(new.u, new.t, new.step, new.dt_last, dissipation, *counters), new_ev

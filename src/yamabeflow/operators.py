@@ -121,13 +121,6 @@ def _conformal_values(bg: Background, v: np.ndarray, out=None, plan=None) -> np.
     return out
 
 
-def _curvature_values(bg: Background, uv: np.ndarray, conf=None, un=None) -> np.ndarray:
-    # ``R_g = L0 u / u^N``, written over ``un`` when the caller holds ``u^N`` there, else fresh;
-    # ``conf``: ``L0 u``, when the caller holds it.
-    un = _power(uv, bg.big_n) if un is None else un
-    return np.divide(conf if conf is not None else _conformal_values(bg, uv), un, out=un)
-
-
 def laplacian(w: ScalarField) -> ScalarField:
     """Second-order periodic Laplacian of the background metric."""
     return ScalarField(w.grid, _laplacian_values(w.values, _StencilPlan(w.grid)))
@@ -143,7 +136,8 @@ def scalar_curvature(bg: Background, u: ScalarField) -> ScalarField:
     """Scalar curvature of the metric with conformal factor ``u > 0``."""
     require_same_grid(bg, u)
     require_positive(u)
-    return ScalarField(u.grid, _curvature_values(bg, u.values))
+    uv = u.values
+    return ScalarField(u.grid, _conformal_values(bg, uv) / _power(uv, bg.big_n))
 
 
 def _laplacian_g_values(bg: Background, uv: np.ndarray, wv: np.ndarray) -> np.ndarray:

@@ -214,13 +214,13 @@ class TestWindowChecks:
         for _ in range(2):
             states.append(yf.step(bg, states[-1], 1e-4))
         calls = []
-        curvature = flow._curvature_values
+        residual = flow._residual
 
-        def counted_curvature(*args):
+        def counted_residual(*args):
             calls.append(1)
-            return curvature(*args)
+            return residual(*args)
 
-        monkeypatch.setattr(flow, "_curvature_values", counted_curvature)
+        monkeypatch.setattr(flow, "_residual", counted_residual)
         check(bg, states)
         assert len(calls) == 3
 
