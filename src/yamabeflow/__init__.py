@@ -17,7 +17,16 @@ from .diagnostics import (
     lemma_p_balance_error,
     weighted_mass,
 )
-from .flow import DiagnosticsRecord, FlowConfig, FlowState, Trajectory, run, stable_dt, step, velocity
+from .flow import (
+    DiagnosticsRecord,
+    FlowConfig,
+    FlowState,
+    Trajectory,
+    run,
+    stable_dt,
+    step,
+    velocity,
+)
 from .grid import GridSpec, ScalarField, SubdomainMask, dilate, integrate, lp_norm
 from .hypotheses import (
     HypothesisReport,

@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario file path")
         if out is not None:  # "required" or "optional"
             p.add_argument("--out", type=Path, required=out == "required", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; outputs are thread-count independent")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; outputs are thread-count independent")
 
     for name, func, text in (
         ("run", _run_loop, "integrate the flow and write CSV + snapshots"),

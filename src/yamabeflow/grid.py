@@ -42,8 +42,11 @@ class GridSpec:
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not float(self.n).is_integer():  # int() would truncate 3.5 to 3; NaN fails too
+            raise ValueError(f"dimension must be a whole number, got {self.n}")
         if not all(float(s).is_integer() for s in self.sizes):  # int() would truncate 4.9 to 4
             raise ValueError(f"all sizes must be whole numbers, got {tuple(self.sizes)}")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if self.n < 3:

@@ -101,9 +101,12 @@ def _realize_field(kv: dict, prefix: str, grid: GridSpec, base_dir: Path, seed: 
         width = _get(kv, f"{prefix}.bump.{i}.width", required=True)
         if not width > 0.0:
             raise ScenarioError(f"{prefix}.bump.{i}.width must be positive")
+        if not 2.0 * width * width > 0.0:
+            raise ScenarioError(f"{prefix}.bump.{i}.width = {width:g}: 2 width^2 underflows to 0")
         center = _get(kv, f"{prefix}.bump.{i}.center", required=True, conv=_floats)
         dist2 = _periodic_dist2(grid, center)
-        values = values + amp * np.exp(-dist2 / (2.0 * width * width))
+        with np.errstate(over="ignore"):  # then the exponent is -inf, and exp(-inf) = 0 exactly
+            values = values + amp * np.exp(-dist2 / (2.0 * width * width))
     noise = _get(kv, f"{prefix}.noise.amplitude")
     if noise is not None:
         rng = np.random.default_rng(seed)

@@ -677,6 +677,8 @@ BOUNDARY_CASES = {
     "r0_constant_neg_inf": "r0.constant = -inf",
     "noise_amplitude_nan": "u0.noise.amplitude = nan",
     "bump_width_nan": "f.bump.0.amplitude = 0.5\nf.bump.0.center = 0.5 0.5 0.5\nf.bump.0.width = nan",
+    "bump_width_underflow": "f.bump.0.amplitude = 0.5\nf.bump.0.center = 0.5 0.5 0.5\n"
+    "f.bump.0.width = 1e-200",  # 2 width^2 underflows to 0
     "grid_length_nan": "grid.lengths = 1 nan 1",
     "grid_h2_subnormal": "grid.lengths = 1e-160 1e-160 1e-160",  # 2/h^2 overflows
     "grid_h2_infinite": "grid.lengths = 1e300 1e300 1e300",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import yamabeflow as yf
 from yamabeflow import flow as flowmod
 from yamabeflow import grid as gridmod
+from yamabeflow import snapshots
 from yamabeflow.errors import GridMismatchError, NonFiniteFieldError, PositivityError
 from yamabeflow.grid import SubdomainMask, _fsum, chebyshev_distance, require_same_grid
 from yamabeflow.operators import require_positive
@@ -34,6 +35,21 @@ class TestGridSpec:
     def test_dimension_at_least_three(self):
         with pytest.raises(ValueError):
             yf.GridSpec(2, (8, 8), (1.0, 1.0))
+
+    @pytest.mark.parametrize("n", [3.5, math.nan, math.inf])
+    def test_dimension_must_be_a_whole_number(self, n):
+        with pytest.raises(ValueError, match="dimension must be a whole number"):
+            yf.GridSpec(n, (4, 4, 4), (1.0, 1.0, 1.0))
+
+    def test_whole_float_dimension_is_stored_as_int(self, tmp_path):
+        """3.0 is the int 3, so the grid builds its mesh and a field on it round-trips a file."""
+        g = yf.GridSpec(3.0, (4, 4, 4), (1, 1, 1))
+        assert type(g.n) is int and g == yf.GridSpec(3, (4, 4, 4), (1, 1, 1))
+        assert len(g.meshgrid()) == 3
+        field = yf.ScalarField(g, np.arange(64.0))
+        snapshots.write_field(tmp_path / "u.yflo", field)
+        back = snapshots.read_field(tmp_path / "u.yflo")
+        assert back.grid == g and back.values.tobytes() == field.values.tobytes()
 
     def test_minimum_size(self):
         for sizes, message in (((8, 8, 3), ">= 4"), ((4.9, 4, 4), "whole numbers"),

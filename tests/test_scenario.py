@@ -72,6 +72,23 @@ class TestLoadScenario:
         assert f.max() == pytest.approx(-0.5, abs=1e-6)  # peak of the bump
         assert f.values[0, 0, 0] == pytest.approx(-1.0, abs=1e-6)
 
+    def test_bump_width_whose_square_underflows_is_refused(self, tmp_path):
+        text = BASE + "f.bump.0.amplitude = 0.5\nf.bump.0.center = 0.5 0.5 0.5\n"
+        text += "f.bump.0.width = 1e-200\n"
+        with pytest.raises(ScenarioError) as info:
+            yf.load_scenario(write_scenario(tmp_path, text))
+        assert str(info.value) == "f.bump.0.width = 1e-200: 2 width^2 underflows to 0"
+
+    def test_narrowest_bump_width_loads_without_warning(self, tmp_path):
+        """At width 1e-160, 2 width^2 is subnormal: the exponent overflows to -inf off the centre,
+        where exp gives 0 exactly, so f is base + amplitude at the centre point, base elsewhere."""
+        text = BASE + "f.bump.0.amplitude = 0.5\nf.bump.0.center = 0.5 0.5 0.5\n"
+        text += "f.bump.0.width = 1e-160\n"
+        f = yf.load_scenario(write_scenario(tmp_path, text)).background.f.values
+        expected = np.full((8, 8, 8), -1.0)
+        expected[4, 4, 4] = -0.5
+        assert f.tobytes() == expected.tobytes()
+
     def test_noise_is_seed_deterministic(self, tmp_path):
         text = BASE + "seed = 5\nu0.noise.amplitude = 0.01\n"
         a = yf.load_scenario(write_scenario(tmp_path, text, "a.txt"))
