@@ -235,3 +235,19 @@ def test_bench_keeps_where_the_time_went(monkeypatch, tmp_path):
     assert kept == {"digests": {"final.u.yflo": "ab"}, "import_runs_s": [0.3, 0.1, 0.2],
                     "setup_runs_s": [0.5, 0.01, 0.02], "wall_first_s": 0.9, "wall_median_s": 0.35,
                     "ref_median_s": 0.135}
+
+
+def test_wall_split_takes_the_median_wall_and_reference_per_side(tmp_path, stubbed, monkeypatch):
+    """Beside ``wall_rel``, the medians over each side's runs of the median wall time and of the
+    median reference-kernel time, so the report shows which of the two moved."""
+    stub = bench_pairs.bench
+
+    def bench(tree, workload, seed, seconds):
+        result, kept = stub(tree, workload, seed, seconds)
+        n = len(stubbed)  # runs 1..6: parent 1, 4, 5 and change 2, 3, 6
+        return result, {**kept, "wall_median_s": float(n), "ref_median_s": n / 10}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    split = _main(tmp_path, 3)["wall_split"]
+    assert split == {"w": {"parent": {"wall_median_s": 4.0, "ref_median_s": 0.4},
+                           "change": {"wall_median_s": 3.0, "ref_median_s": 0.3}}}

@@ -18,8 +18,11 @@ repetition's wall time ``wall_first_s``, the median wall time ``wall_median_s`` 
 the median reference-kernel time ``ref_median_s``, so that a change of ``wall_rel`` shows
 whether the workload or the reference moved), and the per-side median and quartiles of every
 metric.  The quartiles are ``statistics.quantiles(..., method="inclusive")``, numpy's default
-interpolation.  ``resolved`` says, per workload and end-to-end metric, whether the change median
-differs from the parent median by more than the distance between the parent's quartiles.
+interpolation.  ``wall_split`` gives, per workload and side, the medians of the runs'
+``wall_median_s`` and ``ref_median_s``, the two terms of ``wall_rel``, to tell a workload that
+moved from a reference kernel that moved.  ``resolved`` says, per workload and end-to-end
+metric, whether the change median differs from the parent median by more than the distance
+between the parent's quartiles.
 ``digests_agree`` says, per workload, whether every run on both sides reported the same output
 digests, as a change meant to be bit-identical must; ``digests_repeat`` says, per workload and
 side, whether every run of that side reported the same digests, as one that moves the numbers on
@@ -94,6 +97,18 @@ def per_side(runs: list[dict], stat) -> dict:
             for name in values:
                 values[name] = stat(values[name])
     return out
+
+
+def wall_split(runs: list[dict]) -> dict:
+    """Per workload and side, the medians of the runs' ``wall_median_s`` and ``ref_median_s``."""
+    out: dict = {}
+    for run in runs:
+        side = out.setdefault(run["workload"], {}).setdefault(run["side"], {})
+        for key in ("wall_median_s", "ref_median_s"):
+            if key in run:
+                side.setdefault(key, []).append(run[key])
+    return {workload: {side: {key: statistics.median(values) for key, values in keys.items()}
+                       for side, keys in sides.items()} for workload, sides in out.items()}
 
 
 def digests_agree(runs: list[dict]) -> dict[str, bool]:
@@ -184,6 +199,7 @@ def main(argv=None) -> int:
         "medians": medians,
         "quartiles": spreads,
         "resolved": resolved(medians, spreads, better),
+        "wall_split": wall_split(runs),
         "digests_agree": digests_agree(runs),
         "digests_repeat": digests_repeat(runs),
         "wins": wins(runs, better),
