@@ -167,11 +167,9 @@ def test_entry_points_refuse_a_state_alike(entry, case):
 def test_entry_points_agree_on_a_non_finite_state(bg8, entry, scale):
     """At u = 1e-100 u^N underflows to 0, and at u = 1e60 the weight u^(N+1) overflows: every
     entry point fails the state as ``run`` does, with no numpy warning."""
-    u = yf.ScalarField.constant(bg8.grid, scale)
-    call = (lambda: yf.run(bg8, u, yf.FlowConfig(max_steps=1))) if entry == "run" else (
-        lambda: ENTRY_POINTS[entry](bg8, u))
+    calls = {**ENTRY_POINTS, "run": lambda bg, u: yf.run(bg, u, yf.FlowConfig(max_steps=1))}
     with pytest.raises(ComputationFailure) as info:
-        call()
+        calls[entry](bg8, yf.ScalarField.constant(bg8.grid, scale))
     assert str(info.value).startswith("non-finite state at min u =")
 
 
