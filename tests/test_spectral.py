@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 import yamabeflow as yf
 from yamabeflow import spectral
@@ -203,6 +205,23 @@ class TestNodaShift:
         for op in solved:
             assert np.linalg.eigvalsh(op).min() > 0.0
 
+    @pytest.mark.parametrize(
+        "case, inner, outer",
+        [(ball_57, 62, 6), (two_bump_background, 40, 8), (lambda: slab_background(-0.5), 32, 4)],
+        ids=["ball_57", "two_bump", "slab_384"],
+    )
+    def test_deterministic_work_is_pinned(self, case, inner, outer, monkeypatch):
+        """The inner CG iterations, summed over one solve, and the outer iterations."""
+        bg, mask = case()
+        iterations, cg = [], spectral.cg
+
+        def counting_cg(op, b, **kwargs):
+            return cg(op, b, callback=iterations.append, **kwargs)
+
+        monkeypatch.setattr(spectral, "cg", counting_cg)
+        assert yf.dirichlet_eigen(bg, mask).iterations == outer
+        assert len(iterations) <= inner
+
     def test_ball_converges_in_few_iterations(self):
         # At the fixed shift min R0 - 1 this ball takes 17 outer iterations.
         bg, mask = ball_57()
@@ -216,6 +235,62 @@ class TestNodaShift:
         lam_ref = np.linalg.eigvalsh(dense_masked_operator(bg, mask)[0]).min()
         assert lam_ref == pytest.approx(1816.00791898, rel=1e-10)
         assert yf.dirichlet_eigen(bg, mask).lam == pytest.approx(lam_ref, rel=1e-10)
+
+
+def ball_1045():
+    """The ``certify-ball`` benchmark's ball: radius 0.2 on the 32^3 unit grid."""
+    bg = constant_background(unit_grid(32))
+    return bg, ball_mask(bg.grid, (0.5, 0.5, 0.5), 0.2)
+
+
+class TestCG:
+    """``spectral.cg`` is scipy's unpreconditioned CG from a zero start, bit for bit."""
+
+    @staticmethod
+    def solve(cg, op, b, maxiter):
+        iterates = []
+        x, info = cg(op, b, rtol=1e-12, atol=0.0, maxiter=maxiter, callback=iterates.append)
+        return x, info, len(iterates)
+
+    @pytest.mark.parametrize(
+        "case, points",
+        [(ball_57, 57), (two_bump_background, 14), (lambda: slab_background(-0.5), 384),
+         (ball_1045, 1045)],
+        ids=["ball_57", "two_bump", "slab_384", "ball_1045"],
+    )
+    @pytest.mark.parametrize("near", [False, True], ids=["sigma0", "below_lambda1"])
+    def test_matches_scipy(self, case, points, near):
+        """The operator shifted by sigma_0, or just below lambda_1, and a fixed right-hand side."""
+        bg, mask = case()
+        lmat = spectral._masked_operator(bg, mask)
+        k = lmat.shape[0]
+        assert k == points
+        shift = sigma0 = bg.r0.min() - 1.0
+        if near:
+            lam = yf.dirichlet_eigen(bg, mask).lam
+            shift = lam - 1e-3 * (lam - sigma0)
+        op = lmat - shift * scipy.sparse.eye_array(k, format="csr")
+        b = np.random.default_rng(5).random(k)
+        x, info, calls = self.solve(spectral.cg, op, b, 10 * k)
+        x_ref, info_ref, calls_ref = self.solve(scipy.sparse.linalg.cg, op, b, 10 * k)
+        assert (info, calls) == (info_ref, calls_ref) and info == 0 and calls > 0
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_iteration_limit_returns_the_count(self):
+        bg, mask = ball_57()
+        op = spectral._masked_operator(bg, mask)
+        b = np.random.default_rng(5).random(op.shape[0])
+        x, info, calls = self.solve(spectral.cg, op, b, 3)
+        x_ref, info_ref, _ = self.solve(scipy.sparse.linalg.cg, op, b, 3)
+        assert info == info_ref == calls == 3
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_zero_right_hand_side_is_solved_at_once(self):
+        bg, mask = ball_57()
+        op = spectral._masked_operator(bg, mask)
+        x, info, calls = self.solve(spectral.cg, op, np.zeros(op.shape[0]), 10)
+        assert (info, calls) == (0, 0)
+        assert np.array_equal(x, np.zeros(op.shape[0]))
 
 
 class TestSlabAnalytic:
