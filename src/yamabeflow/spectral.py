@@ -21,9 +21,12 @@ nears ``lambda_1``, instead of by the fixed ratio at ``sigma_0``; two
 components of the mask with nearly equal eigenvalues separate in a few
 iterations.
 
-scipy loads on the first solve, so ``run``, ``resume`` and ``verify`` never
-import it.  ``cg`` is a module function that forwards to scipy's, and the solve
-calls it through the module, so a replaced ``spectral.cg`` sees every inner solve.
+Each inner solve runs the module's own ``cg``, scipy 1.17's unpreconditioned CG
+operation for operation, so it gives scipy's iterates bit for bit without the
+per-iteration cost of its ``LinearOperator`` layers, and ``scipy.sparse.linalg``
+never loads.  The solve calls it through the module, so a replaced ``spectral.cg``
+sees every inner solve.  ``scipy.sparse`` loads on the first solve, for the
+assembled operator, so ``run``, ``resume`` and ``verify`` never import scipy.
 """
 
 from __future__ import annotations
@@ -53,10 +56,37 @@ class EigenResult:
     iterations: int
 
 
-def cg(*args, **kwargs):
-    """scipy's ``cg``, imported on the first call, with the arguments unchanged."""
-    from scipy.sparse.linalg import cg as scipy_cg
-    return scipy_cg(*args, **kwargs)
+def cg(a, b, x0=None, *, rtol, atol, maxiter, callback=None):
+    """Unpreconditioned CG for ``a x = b``: scipy 1.17's ``cg``, operation for operation.
+
+    Stops once ``|r| < max(atol, rtol |b|)`` with ``info = 0``, or after ``maxiter`` iterations
+    with ``info = maxiter``; ``b = 0`` returns ``(b, 0)`` at once.  ``callback(x)`` follows
+    each iteration.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return b, 0
+    stop = max(atol, rtol * bnorm)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - a @ x if x.any() else b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < stop:
+            return x, 0
+        rho = np.dot(r, r)
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = a @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def _masked_operator(bg: Background, mask: SubdomainMask):

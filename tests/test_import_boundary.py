@@ -40,6 +40,18 @@ def scipy_loaded(code: str, cwd: Path) -> bool:
     return proc.stdout.split()[-1] == "True"
 
 
+def modules_loaded(code: str, cwd: Path, *modules: str) -> list[bool]:
+    """Run ``code`` in a fresh interpreter with ``src/`` on the path; which of ``modules`` did it
+    import?"""
+    script = f"import sys\n{code}\nprint(*(name in sys.modules for name in {modules!r}))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [word == "True" for word in proc.stdout.split()[-len(modules) :]]
+
+
 @pytest.mark.parametrize("module", ["yamabeflow", "yamabeflow.cli"])
 def test_import_leaves_scipy_out(tmp_path, module):
     assert not scipy_loaded(f"import {module}", tmp_path)
@@ -70,3 +82,13 @@ def test_verify_leaves_scipy_out(scenario):
 
 def test_eigen_loads_scipy_and_succeeds(scenario):
     assert scipy_loaded(_cli("eigen", "--scenario", "s.txt"), scenario)
+
+
+@pytest.mark.parametrize(
+    "argv", [["eigen"], ["check"], ["supersolution", "--out", "o"]], ids=lambda argv: argv[0]
+)
+def test_eigen_commands_load_scipy_sparse_but_not_its_linalg(scenario, argv):
+    """The eigen solve runs its own CG on a ``scipy.sparse`` matrix, whatever the exit code."""
+    code = f"from yamabeflow.cli import main\nmain({[argv[0], '--scenario', 's.txt', *argv[1:]]!r})"
+    loaded = modules_loaded(code, scenario, "scipy.sparse", "scipy.sparse.linalg")
+    assert loaded == [True, False]
