@@ -207,11 +207,14 @@ class TestNodaShift:
 
     @pytest.mark.parametrize(
         "case, inner, outer",
-        [(ball_57, 62, 6), (two_bump_background, 40, 8), (lambda: slab_background(-0.5), 32, 4)],
+        [(ball_57, 40, 6), (two_bump_background, 42, 8), (lambda: slab_background(-0.5), 18, 4)],
         ids=["ball_57", "two_bump", "slab_384"],
     )
     def test_deterministic_work_is_pinned(self, case, inner, outer, monkeypatch):
-        """The inner CG iterations, summed over one solve, and the outer iterations."""
+        """The inner CG iterations, summed over one solve, and the outer iterations.
+
+        Each inner solve starts from zero; from the last iterate they took 62, 40 and 32.
+        """
         bg, mask = case()
         iterations, cg = [], spectral.cg
 
