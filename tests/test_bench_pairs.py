@@ -30,6 +30,7 @@ def stubbed(monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc123")
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr(bench_pairs, "counts", lambda tree, workload, seed, seconds: {"steps": 1})
     return calls
 
 
@@ -251,3 +252,63 @@ def test_wall_split_takes_the_median_wall_and_reference_per_side(tmp_path, stubb
     split = _main(tmp_path, 3)["wall_split"]
     assert split == {"w": {"parent": {"wall_median_s": 4.0, "ref_median_s": 0.4},
                            "change": {"wall_median_s": 3.0, "ref_median_s": 0.3}}}
+
+
+def test_counts_come_from_one_traced_run_per_workload_and_side_after_the_pairs(
+    tmp_path, stubbed, monkeypatch
+):
+    """Each traced run sees every pair of every workload done, and its counts enter ``counts``
+    and nothing else: the runs, medians and wins are the pairs' alone."""
+    traced = []
+
+    def counts(tree, workload, seed, seconds):
+        traced.append((workload, tree.name, seed, seconds, len(stubbed)))
+        return {"spectral.cg.inner_iters": 866 if tree.name == "change" else 1241}
+
+    monkeypatch.setattr(bench_pairs, "counts", counts)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD~1", "--workload", "a", "--workload", "b", "--seed", "23",
+            "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert traced == [(w, side, 23, 1.0, 8) for w in "ab" for side in ("parent", "change")]
+    assert report["counts"] == {w: {"parent": {"spectral.cg.inner_iters": 1241},
+                                    "change": {"spectral.cg.inner_iters": 866}} for w in "ab"}
+    assert report["counts_equal"] == {"a": False, "b": False}
+    assert len(report["runs"]) == 8
+    assert report["medians"]["a"]["parent"].keys() == {"wall_rel", "pass_frac"}
+    assert report["wins"]["a"]["wall_rel"]["pairs"] == 2
+
+
+def test_counts_equal_per_workload(tmp_path, stubbed, monkeypatch):
+    """Workload ``a`` does the same work on both sides, ``b`` one more CG iteration."""
+
+    def counts(tree, workload, seed, seconds):
+        inner = 867 if (workload, tree.name) == ("b", "change") else 866
+        return {"spectral.cg.calls": 25, "spectral.cg.inner_iters": inner}
+
+    monkeypatch.setattr(bench_pairs, "counts", counts)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--workload", "a", "--workload", "b", "--seed", "23",
+            "--pairs", "1", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["counts_equal"] == {"a": True, "b": False}
+
+
+def test_counts_keep_the_count_metrics_of_a_traced_run(monkeypatch, tmp_path):
+    result = {"metrics": {"wall_rel": {"value": 0.3, "unit": "ref"},
+                          "spectral.cg.inner_iters": {"value": 866, "unit": "count"},
+                          "flow.step.calls": {"value": 0, "unit": "count"},
+                          "spectral.cg.time_s": {"value": 0.02, "unit": "s"}}}
+    stdout = "\n".join([json.dumps({"detail": {}}), json.dumps(result)])
+    argvs = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        argvs.append((cmd[1:], cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.counts(tmp_path, "w", 7, 2.0) == {"spectral.cg.inner_iters": 866,
+                                                         "flow.step.calls": 0}
+    assert argvs == [(["perfbench/run.py", "--workload", "w", "--seed", "7", "--seconds", "2.0",
+                       "--trace", "1"], tmp_path)]

@@ -28,7 +28,12 @@ digests, as a change meant to be bit-identical must; ``digests_repeat`` says, pe
 side, whether every run of that side reported the same digests, as one that moves the numbers on
 purpose still must.  ``wins`` gives, per workload and end-to-end metric of ``BENCHMARK.json``
 (only read), the pairs whose change run beat its parent run in the direction of the metric's
-``better``, out of the pairs run; a tie counts for neither side.  Standard library only.
+``better``, out of the pairs run; a tie counts for neither side.  After the pairs, one
+``--trace 1`` run per workload and side, at the same seed and ``--seconds``, gives ``counts``: per
+workload and side, every metric whose unit is ``count``, such as the steps, the dt caps and the
+eigen and CG iterations.  These runs stay out of every other entry.  ``counts_equal`` says, per
+workload, whether both sides' counts are equal, so that a change of wall time can be matched
+with a change of the work done, or shown to come with none.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,20 +66,32 @@ def extract(rev: str, dest: Path) -> None:
             raise SystemExit(f"git archive {rev} failed with exit code {archive.returncode}")
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``--trace 0`` run in ``tree``: its result object and what a run keeps of its detail."""
+def run_lines(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+    """The stdout lines of one ``perfbench/run.py`` run in ``tree``; a failed run exits."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return lines
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``--trace 0`` run in ``tree``: its result object and what a run keeps of its detail."""
+    lines = run_lines(tree, workload, seed, seconds, 0)
     detail = json.loads(lines[-2])["detail"]
     kept = {key: detail[key] for key in ("digests", "import_runs_s", "setup_runs_s")}
     kept["wall_first_s"] = detail["walls_s"][0]  # the repetition that pays first-call costs
     kept["wall_median_s"] = statistics.median(detail["walls_s"])
     kept["ref_median_s"] = statistics.median(detail["refs_s"])
     return json.loads(lines[-1]), kept
+
+
+def counts(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 1`` run in ``tree``: the value of each metric whose unit is ``count``."""
+    metrics = json.loads(run_lines(tree, workload, seed, seconds, 1)[-1])["metrics"]
+    return {name: metric["value"] for name, metric in metrics.items() if metric["unit"] == "count"}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -190,6 +207,12 @@ def main(argv=None) -> int:
                     runs.append({"workload": workload, "pair": pair, "side": side,
                                  "first": order[0], "result": result, **kept})
                     print(workload, pair, side, json.dumps(result["metrics"]), file=sys.stderr)
+        traced: dict = {}
+        for workload in args.workload:
+            for side in shas:
+                traced.setdefault(workload, {})[side] = counts(
+                    trees[side], workload, args.seed, args.seconds)
+                print(workload, "counts", side, json.dumps(traced[workload][side]), file=sys.stderr)
 
     medians, spreads = per_side(runs, statistics.median), per_side(runs, quartiles)
     report = {
@@ -203,6 +226,9 @@ def main(argv=None) -> int:
         "digests_agree": digests_agree(runs),
         "digests_repeat": digests_repeat(runs),
         "wins": wins(runs, better),
+        "counts": traced,
+        "counts_equal": {workload: sides["parent"] == sides["change"]
+                         for workload, sides in traced.items()},
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
