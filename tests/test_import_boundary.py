@@ -29,17 +29,6 @@ omega.radius = 0.3
 """
 
 
-def scipy_loaded(code: str, cwd: Path) -> bool:
-    """Run ``code`` in a fresh interpreter with ``src/`` on the path; did it import scipy?"""
-    script = f"import sys\n{code}\nprint('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
-
-
 def modules_loaded(code: str, cwd: Path, *modules: str) -> list[bool]:
     """Run ``code`` in a fresh interpreter with ``src/`` on the path; which of ``modules`` did it
     import?"""
@@ -50,6 +39,11 @@ def modules_loaded(code: str, cwd: Path, *modules: str) -> list[bool]:
     )
     assert proc.returncode == 0, proc.stderr
     return [word == "True" for word in proc.stdout.split()[-len(modules) :]]
+
+
+def scipy_loaded(code: str, cwd: Path) -> bool:
+    """Did ``code``, run as by ``modules_loaded``, import scipy?"""
+    return modules_loaded(code, cwd, "scipy")[0]
 
 
 @pytest.mark.parametrize("module", ["yamabeflow", "yamabeflow.cli"])
