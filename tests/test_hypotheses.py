@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow import hypotheses
-from yamabeflow.errors import DeltaWindowEmptyError
+from yamabeflow import hypotheses, spectral
+from yamabeflow.errors import DeltaWindowEmptyError, GridMismatchError
 from yamabeflow.grid import SubdomainMask
 
 from conftest import (
@@ -264,3 +264,31 @@ def test_verify_supersolution_signs(grid8):
     # Constants c: L(c) = -c + c^5; negative below 1, positive above.
     assert yf.verify_supersolution(bg, yf.ScalarField.constant(grid8, 2.0)) > 0.0
     assert yf.verify_supersolution(bg, yf.ScalarField.constant(grid8, 0.5)) < 0.0
+
+
+# Each spectral-layer call that takes a mask, given only the background and the mask.
+MASK_CALLS = {
+    "dirichlet_eigen": yf.dirichlet_eigen,
+    "check_h1": yf.check_h1,
+    "evaluate_hypotheses": yf.evaluate_hypotheses,
+    "build_supersolution": yf.build_supersolution,
+    "rayleigh_quotient": lambda bg, mask: yf.rayleigh_quotient(
+        bg, yf.ScalarField.zeros(bg.grid), mask),
+}
+
+
+@pytest.mark.parametrize("size, length", [(6, 1.0), (8, 2.0)], ids=["6^3", "doubled_lengths"])
+@pytest.mark.parametrize("call", MASK_CALLS)
+def test_mask_from_another_grid_refused_before_any_solve(call, size, length, monkeypatch):
+    """A mask on a grid other than the background's raises ``GridMismatchError`` with
+    ``require_same_grid``'s message, and no CG solve runs."""
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a CG solve ran on a mask from another grid")
+
+    monkeypatch.setattr(spectral, "cg", no_cg)
+    bg = constant_background(unit_grid(8))
+    foreign = unit_grid(size, length=length)
+    mask = SubdomainMask(foreign, np.ones(foreign.shape, dtype=bool))
+    with pytest.raises(GridMismatchError) as info:
+        MASK_CALLS[call](bg, mask)
+    assert str(info.value) == f"grid mismatch: {bg.grid} vs {foreign}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import yamabeflow as yf
-from yamabeflow.errors import PositivityError
+from yamabeflow.errors import NonFiniteFieldError, PositivityError
 from yamabeflow.flow import _residual, _Workspace
 from yamabeflow.grid import _fsum, _power
 from yamabeflow.operators import (
@@ -243,6 +243,19 @@ def test_require_positive_names_argument(grid8):
     with pytest.raises(PositivityError) as exc:
         require_positive(yf.ScalarField(grid8, vals), "u0")
     assert "u0" in str(exc.value)
+
+
+def test_operators_follow_numpy_out_of_the_float_range():
+    """The public operators keep numpy's rules on a state whose powers leave the float range, as
+    README says; only the flow's entry points refuse it with ``ComputationFailure``."""
+    grid = unit_grid(6)
+    bg = constant_background(grid)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        with pytest.raises(NonFiniteFieldError) as exc:
+            yf.scalar_curvature(bg, yf.ScalarField.constant(grid, 1e-100))
+    assert str(exc.value) == "non-finite value -inf at flat index 0 (0, 0, 0)"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert yf.energy(bg, yf.ScalarField.constant(grid, 1e60)) == np.inf
 
 
 def _reference_laplacian(v, spacings):
