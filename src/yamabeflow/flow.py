@@ -24,7 +24,6 @@ from .operators import (
     _conformal_values,
     _StencilPlan,
     energy,
-    require_positive,
 )
 
 __all__ = [
@@ -290,13 +289,11 @@ def run(
     """Advance the flow to convergence, timeout, or blow-up, recording diagnostics.
 
     ``start``, such as a checkpoint's state or a ``Trajectory.final``, is the
-    one loop state a run continues from, and is left as it was; records, the
-    trapezoid dissipation and step sizes continue bitwise as if the run had
-    never stopped.  ``on_checkpoint(state)`` sees, in order and after its record,
+    one loop state a run continues from, read in place of ``u0``, and is left as
+    it was; records, the trapezoid dissipation and step sizes continue bitwise as
+    if the run had never stopped.  ``on_checkpoint(state)`` sees, in order and after its record,
     every state after step 0 that the run continues from; the caller picks which to store.
     """
-    require_same_grid(bg, u0)
-    require_positive(u0, "u0")
     orders = FlowConfig.resolve_orders(bg.n)
     state = start if start is not None else FlowState(u0, 0.0, 0, 0.0)
     records: list[DiagnosticsRecord] = []

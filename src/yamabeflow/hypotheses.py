@@ -78,7 +78,6 @@ def superlevel_mask(bg: Background, eps: float) -> SubdomainMask:
 
 def check_h1(bg: Background, omega: SubdomainMask, tol: float = 1e-8) -> HypothesisReport:
     """Decide the eigenvalue condition; the size-condition fields stay unset."""
-    require_same_grid(bg, omega)
     lam = dirichlet_eigen(bg, omega, tol=tol).lam
     f, inside = bg.f.values, omega.inside
     sup_f = float(f[inside].max()) if inside.any() else -math.inf

@@ -135,6 +135,7 @@ ENTRY_POINTS = {
     "velocity": yf.velocity,
     "curvature_evolution_error": lambda bg, u: yf.curvature_evolution_error(bg, _window(u)),
     "lemma_p_balance_error": lambda bg, u: yf.lemma_p_balance_error(bg, _window(u)),
+    "run": lambda bg, u: yf.run(bg, u, yf.FlowConfig(max_steps=1)),
 }
 
 
@@ -167,9 +168,8 @@ def test_entry_points_refuse_a_state_alike(entry, case):
 def test_entry_points_agree_on_a_non_finite_state(bg8, entry, scale):
     """At u = 1e-100 u^N underflows to 0, and at u = 1e60 the weight u^(N+1) overflows: every
     entry point fails the state as ``run`` does, with no numpy warning."""
-    calls = {**ENTRY_POINTS, "run": lambda bg, u: yf.run(bg, u, yf.FlowConfig(max_steps=1))}
     with pytest.raises(ComputationFailure) as info:
-        calls[entry](bg8, yf.ScalarField.constant(bg8.grid, scale))
+        ENTRY_POINTS[entry](bg8, yf.ScalarField.constant(bg8.grid, scale))
     assert str(info.value).startswith("non-finite state at min u =")
 
 
@@ -463,6 +463,20 @@ class TestResumeCarry:
         assert rest.final.dissipation_cum == full.final.dissipation_cum
         assert rest.records == [r for r in full.records if r.t > half.final.t]
         assert rest.step_energy == full.step_energy[12:]
+
+    @pytest.mark.parametrize("case", ["6^3", "negative"])
+    def test_start_leaves_u0_unread(self, case):
+        """``run(bg, u0, cfg, start=s)`` continues from ``s`` whatever ``u0`` holds, even a state
+        on a foreign grid or with a negative value, and gives the run that ``u0 = s.u`` gives."""
+        bg, bad, _, _ = _refused(case)
+        start = FlowState(yf.ScalarField.constant(bg.grid, 1.2), 0.5, 3, 1e-3)
+        cfg = yf.FlowConfig(t_max=10.0, max_steps=8, record_every=2)
+        got = yf.run(bg, bad, cfg, start=start)
+        want = yf.run(bg, start.u, cfg, start=start)
+        assert got.final.step == 8
+        assert got.final.u.values.tobytes() == want.final.u.values.tobytes()
+        assert got.records == want.records != []
+        assert got.step_energy == want.step_energy
 
     def test_start_on_another_grid_rejected(self, grid8):
         bg = constant_background(grid8)
