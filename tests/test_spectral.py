@@ -91,6 +91,25 @@ class TestAgainstDenseOracle:
         lam_ref, _ = dense_masked_eigenpair(bg, mask)
         assert result.lam == pytest.approx(lam_ref, rel=1e-8)
 
+    @pytest.mark.parametrize("n, size", [(3, 8), (3, 12), (4, 6)], ids=["8^3", "12^3", "6^4"])
+    def test_random_masks_phi_is_nonnegative(self, n, size):
+        """Random masks, nearly all of several components, filled U(0.1, 0.6) on R0 = -1 - U(0, 1).
+
+        The principal eigenvector vanishes off one component, where the iterates leave roundoff
+        of either sign; before phi was clipped at zero, seeds 1 and 17 (8^3), 3, 4 and 11 (12^3)
+        and 0 (6^4) returned negative entries.
+        """
+        g = unit_grid(size, n)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            r0 = yf.ScalarField(g, -1.0 - rng.random(g.shape))
+            bg = yf.Background(g, r0, yf.ScalarField.constant(g, -1.0))
+            mask = SubdomainMask(g, rng.random(g.shape) < rng.uniform(0.1, 0.6))
+            result = yf.dirichlet_eigen(bg, mask)
+            lam_ref = scipy.linalg.eigvalsh(dense_masked_operator(bg, mask)[0])[0]
+            assert result.phi.values.min() >= 0.0, seed
+            assert result.lam == pytest.approx(lam_ref, rel=1e-10), seed
+
 
 class TestAssembledOperator:
     """The sparse operator the eigen solve runs on equals the dense oracle's matrix."""
@@ -184,6 +203,12 @@ def ball_57():
     return bg, ball_mask(bg.grid, (0.5, 0.5, 0.5), 0.3)
 
 
+def ball_1045():
+    """The ``certify-ball`` benchmark's ball: radius 0.2 on the 32^3 unit grid."""
+    bg = constant_background(unit_grid(32))
+    return bg, ball_mask(bg.grid, (0.5, 0.5, 0.5), 0.2)
+
+
 class TestNodaShift:
     """Each solve is shifted up to just below lambda_1, never across it."""
 
@@ -206,14 +231,17 @@ class TestNodaShift:
             assert np.linalg.eigvalsh(op).min() > 0.0
 
     @pytest.mark.parametrize(
-        "case, inner, outer",
-        [(ball_57, 40, 6), (two_bump_background, 42, 8), (lambda: slab_background(-0.5), 18, 4)],
-        ids=["ball_57", "two_bump", "slab_384"],
+        "case, inner, outer, lam",
+        [(ball_57, 36, 6, 680.5598404208876), (two_bump_background, 34, 8, 1816.00791897896),
+         (lambda: slab_background(-0.5), 12, 4, 0.5844981135612947),
+         (ball_1045, 76, 5, 1838.8972113490313)],
+        ids=["ball_57", "two_bump", "slab_384", "ball_1045"],
     )
-    def test_deterministic_work_is_pinned(self, case, inner, outer, monkeypatch):
-        """The inner CG iterations, summed over one solve, and the outer iterations.
+    def test_deterministic_work_is_pinned(self, case, inner, outer, lam, monkeypatch):
+        """The inner CG iterations, summed over one solve, the outer iterations and lambda.
 
-        Each inner solve starts from zero; from the last iterate they took 62, 40 and 32.
+        Each inner solve starts from zero.  With every inner tolerance at 1e-12 they took 40, 42,
+        18 and 148, and lambda was the pinned value; from the last iterate they took 62, 40 and 32.
         """
         bg, mask = case()
         iterations, cg = [], spectral.cg
@@ -222,8 +250,10 @@ class TestNodaShift:
             return cg(op, b, callback=iterations.append, **kwargs)
 
         monkeypatch.setattr(spectral, "cg", counting_cg)
-        assert yf.dirichlet_eigen(bg, mask).iterations == outer
+        result = yf.dirichlet_eigen(bg, mask)
+        assert result.iterations == outer
         assert len(iterations) <= inner
+        assert result.lam == pytest.approx(lam, rel=1e-12)
 
     def test_ball_converges_in_few_iterations(self):
         # At the fixed shift min R0 - 1 this ball takes 17 outer iterations.
@@ -238,12 +268,6 @@ class TestNodaShift:
         lam_ref = np.linalg.eigvalsh(dense_masked_operator(bg, mask)[0]).min()
         assert lam_ref == pytest.approx(1816.00791898, rel=1e-10)
         assert yf.dirichlet_eigen(bg, mask).lam == pytest.approx(lam_ref, rel=1e-10)
-
-
-def ball_1045():
-    """The ``certify-ball`` benchmark's ball: radius 0.2 on the 32^3 unit grid."""
-    bg = constant_background(unit_grid(32))
-    return bg, ball_mask(bg.grid, (0.5, 0.5, 0.5), 0.2)
 
 
 class TestCG:
