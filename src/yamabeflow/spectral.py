@@ -21,11 +21,18 @@ The first runs to a relative tolerance of ``_RTOL_LOOSE``; one after a positive 
 ``_RTOL_FACTOR`` times its relative residual, clamped to ``[_RTOL_TIGHT, _RTOL_LOOSE]``; one after
 an iterate that gives no bound to ``_RTOL_TIGHT``, so that the shift is not starved.  The stopping
 rule reads each iterate's own residual, so the pair returned is as accurate as with exact solves.
-Each solve sets the stored diagonal of one copy of ``L``, found once, to ``diag(L) - sigma`` in
-place, then runs the module's ``cg`` from zero: scipy 1.17's plain CG operation for operation,
-less the ``LinearOperator`` layers that cost a third of each iteration.  Called through the
-module, a replaced ``spectral.cg`` sees every solve.  Only ``scipy.sparse`` loads, on the first
-solve, so ``run``, ``resume`` and ``verify`` never import scipy.
+Each solve sets the stored diagonal of one copy of ``L`` to ``diag(L) - sigma`` in place, then
+runs the module's ``cg`` from zero: scipy 1.17's plain CG operation for operation, less the
+``LinearOperator`` layers that cost a third of each iteration.  Called through the module, a
+replaced ``spectral.cg`` sees every solve.  Only ``scipy.sparse`` loads, on the first solve, so
+``run``, ``resume`` and ``verify`` never import scipy.
+
+The work outside the solves is sized by the mask, not the grid.  ``L`` is written straight in
+CSR form, each row's columns ascending and its diagonal's position kept, from the mask points'
+flat positions and, per axis, their periodic -1 and +1 neighbours'.  The returned residual of
+``L0 phi - lambda phi`` is taken at those points by the flow stencil's own operations in order,
+so it equals the full-grid stencil's bit for bit (``phi`` is 0 outside) and checks ``L`` by an
+independent code.
 """
 
 from __future__ import annotations
@@ -83,21 +90,46 @@ def cg(a, b, *, rtol, atol, maxiter, callback=None):
 
 
 def _masked_operator(bg: Background, mask: SubdomainMask):
-    """``-c_n Lap + R0`` on the mask points in row-major order, couplings to outside dropped."""
+    """``-c_n Lap + R0`` on the mask points in row-major order, couplings to outside dropped.
+
+    Returns the CSR array, the positions of its diagonal in ``data``, the points' flat positions
+    and, per axis, their periodic -1 and +1 neighbours' flat positions.  Each row is written
+    straight in ascending column order, which is flat order: the entries below the point axis by
+    axis, the diagonal, then the entries above it from the last axis back.  A -1 neighbour lies
+    below unless it wraps, from coordinate 0, and a +1 neighbour above unless it wraps, from the
+    last coordinate; on either side, an axis's +1 neighbour comes first.
+    """
     from scipy import sparse
-    k = int(np.count_nonzero(mask.inside))
-    index = np.full(bg.grid.shape, -1)
-    index[mask.inside] = np.arange(k)
-    rows, cols, vals = [np.arange(k)], [np.arange(k)], [bg.r0.values[mask.inside]]
-    for axis, h in enumerate(bg.grid.spacings):
-        vals[0] = vals[0] + bg.c_n * 2.0 / (h * h)
-        for shift in (-1, 1):
-            nb = np.roll(index, shift, axis=axis)[mask.inside]
-            rows.append(np.flatnonzero(nb >= 0))
-            cols.append(nb[nb >= 0])
-            vals.append(np.full(rows[-1].size, -bg.c_n / (h * h)))
-    coords = (np.concatenate(rows), np.concatenate(cols))
-    return sparse.csr_array((np.concatenate(vals), coords), shape=(k, k))
+    shape, flat = bg.grid.shape, np.flatnonzero(mask.inside)
+    k = flat.size
+    index = np.full(mask.inside.size, -1)
+    index[flat] = np.arange(k)
+    diag, count, nbrs, below, above = bg.r0.values.reshape(-1)[flat], 1, [], [], []
+    for axis, (coord, h) in enumerate(zip(np.unravel_index(flat, shape), bg.grid.spacings)):
+        diag = diag + bg.c_n * 2.0 / (h * h)
+        stride = math.prod(shape[axis + 1 :])
+        first, last = coord == 0, coord == shape[axis] - 1
+        minus, plus = flat - stride, flat + stride
+        minus[first] += shape[axis] * stride
+        plus[last] -= shape[axis] * stride
+        nbrs.append((minus, plus))
+        m, p, off = index[minus], index[plus], -bg.c_n / (h * h)
+        m_in, p_in = m >= 0, p >= 0
+        count = count + m_in + p_in
+        below += [(p, p_in & last, off), (m, m_in & ~first, off)]
+        above[:0] = [(p, p_in & ~last, off), (m, m_in & first, off)]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(count, out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices, data, at = np.empty(nnz + 1, dtype=np.int64), np.empty(nnz + 1), indptr[:-1].copy()
+    for cols, kept, vals in below + [(np.arange(k), True, diag)] + above:
+        dest = np.where(kept, at, nnz)  # position nnz takes the neighbours outside the mask
+        indices[dest], data[dest] = cols, vals
+        at += kept
+        if vals is diag:
+            dpos = dest
+    lmat = sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(k, k))
+    return lmat, dpos, flat, nbrs
 
 
 def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> EigenResult:
@@ -117,9 +149,8 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
     if mask.is_empty:
         return EigenResult(math.inf, ScalarField.zeros(bg.grid), 0.0, 0)
 
-    lmat = _masked_operator(bg, mask)
-    k = lmat.shape[0]
-    dpos = np.flatnonzero(lmat.indices == np.repeat(np.arange(k), np.diff(lmat.indptr)))
+    lmat, dpos, flat, nbrs = _masked_operator(bg, mask)
+    k = flat.size
     shifted, diag = lmat.copy(), lmat.data[dpos]
     sigma0 = shift = bg.r0.min() - 1.0
 
@@ -155,8 +186,14 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
 
     x = np.maximum(-x if float(x.sum()) < 0.0 else x, 0.0)
     phi_vals = np.zeros(bg.grid.shape)
-    phi_vals[mask.inside] = x / float(x.max())
-    lphi = np.where(mask.inside, _conformal_values(bg, phi_vals) - lam * phi_vals, 0.0)
+    phi = phi_vals.reshape(-1)
+    phi[flat] = v = x / float(x.max())
+    # L0 phi - lam phi at the mask points, by the stencil's own operations in its order: phi is 0
+    # outside, so each value is the full-grid stencil's bit for bit.
+    for axis, ((minus, plus), h) in enumerate(zip(nbrs, bg.grid.spacings)):
+        term = ((phi[plus] - v) - (v - phi[minus])) / (h * h)
+        lap = term if axis == 0 else lap + term
+    lphi = lap * -bg.c_n + bg.r0.values.reshape(-1)[flat] * v - lam * v
     residual = float(np.abs(lphi).max())
     return EigenResult(lam, ScalarField(bg.grid, phi_vals), residual, it)
 

@@ -312,3 +312,43 @@ def test_counts_keep_the_count_metrics_of_a_traced_run(monkeypatch, tmp_path):
                                                          "flow.step.calls": 0}
     assert argvs == [(["perfbench/run.py", "--workload", "w", "--seed", "7", "--seconds", "2.0",
                        "--trace", "1"], tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "lost, change, met",
+    [(1, 0.5, True),  # 9/10 won, medians apart: the gain rule is met
+     (2, 0.5, False),  # 8/10 won, medians as far apart
+     (0, 1.5, False)],  # medians apart, but the change is worse in every pair
+    ids=["9of10", "8of10", "worse"],
+)
+def test_meets_gain_rule_needs_nine_of_ten_and_a_resolved_gain(
+    tmp_path, stubbed, monkeypatch, lost, change, met
+):
+    """Parent runs read wall_rel 1.00 to 1.09, pair by pair.  The change reads 2.0 in its first
+    ``lost`` pairs and ``change`` in the rest; pass_frac ties at 1.0, so it is never met."""
+
+    def bench(tree, workload, seed, seconds):
+        side = tree.name
+        stubbed.append((workload, side))
+        pair = sum(1 for _, s in stubbed if s == side) - 1
+        wall = 1.0 + 0.01 * pair if side == "parent" else (2.0 if pair < lost else change)
+        result = {"metrics": {"wall_rel": {"value": wall}, "pass_frac": {"value": 1.0}}}
+        return result, {"digests": {}, "import_runs_s": [0.1]}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    report = _main(tmp_path, 10)
+    assert report["resolved"]["w"]["wall_rel"]
+    assert report["wins"]["w"]["wall_rel"] == {"won": 10 - lost if change < 1.0 else 0, "pairs": 10}
+    assert report["meets_gain_rule"] == {"w": {"wall_rel": met, "pass_frac": False}}
+
+
+def test_meets_gain_rule_reads_the_better_direction():
+    """Nine wins and resolved medians, but the medians say the change is worse: not met."""
+    won = {"w": {"wall_rel": {"won": 9, "pairs": 10}, "pass_frac": {"won": 9, "pairs": 10}}}
+    apart = {"w": {"wall_rel": True, "pass_frac": True}}
+    medians = {"w": {"parent": {"wall_rel": 1.0, "pass_frac": 0.5},
+                     "change": {"wall_rel": 1.2, "pass_frac": 0.9}}}
+    better = {"wall_rel": "lower", "pass_frac": "higher"}
+    assert bench_pairs.meets_gain_rule(won, apart, medians, better) == {
+        "w": {"wall_rel": False, "pass_frac": True}
+    }

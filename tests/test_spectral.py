@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import yamabeflow as yf
-from yamabeflow import spectral
+from yamabeflow import hypotheses, spectral
 from yamabeflow.errors import EigenConvergenceError
-from yamabeflow.grid import SubdomainMask
+from yamabeflow.grid import SubdomainMask, chebyshev_distance
+from yamabeflow.operators import _conformal_values
 
 from conftest import constant_background, slab_background, two_bump_background, unit_grid
 
@@ -117,7 +119,7 @@ class TestAssembledOperator:
     @staticmethod
     def assert_matches_oracle(bg, mask):
         mat, _ = dense_masked_operator(bg, mask)
-        assembled = spectral._masked_operator(bg, mask)
+        assembled = spectral._masked_operator(bg, mask)[0]
         assert assembled.shape == mat.shape
         assert np.array_equal(assembled.toarray(), mat)
 
@@ -134,6 +136,117 @@ class TestAssembledOperator:
         r0 = yf.ScalarField(grid8, -1.0 - rng.random(grid8.shape))
         bg = yf.Background(grid8, r0, yf.ScalarField.constant(grid8, -1.0))
         self.assert_matches_oracle(bg, ball_mask(grid8, (0.25, 0.5, 0.75), 0.3))
+
+
+def roll_masked_operator(bg, mask):
+    """Reference: the masked operator assembled from ``np.roll``s of a grid of row numbers, as COO
+    triplets that scipy converts to CSR, sorting each row's columns."""
+    k = int(np.count_nonzero(mask.inside))
+    index = np.full(bg.grid.shape, -1)
+    index[mask.inside] = np.arange(k)
+    rows, cols, vals = [np.arange(k)], [np.arange(k)], [bg.r0.values[mask.inside]]
+    for axis, h in enumerate(bg.grid.spacings):
+        vals[0] = vals[0] + bg.c_n * 2.0 / (h * h)
+        for shift in (-1, 1):
+            nb = np.roll(index, shift, axis=axis)[mask.inside]
+            rows.append(np.flatnonzero(nb >= 0))
+            cols.append(nb[nb >= 0])
+            vals.append(np.full(rows[-1].size, -bg.c_n / (h * h)))
+    coords = (np.concatenate(rows), np.concatenate(cols))
+    return scipy.sparse.csr_array((np.concatenate(vals), coords), shape=(k, k))
+
+
+def wrapped_pairs(mask):
+    """Pairs of mask points that are neighbours across the periodic boundary, over all axes."""
+    inside = mask.inside
+    return sum(int(np.count_nonzero(np.take(inside, 0, axis) & np.take(inside, -1, axis)))
+               for axis in range(inside.ndim))
+
+
+_GRIDS = {"8^3": lambda: unit_grid(8), "12^3": lambda: unit_grid(12), "6^4": lambda: unit_grid(6, 4),
+          "5x9x7": lambda: yf.GridSpec(3, (5, 9, 7), (1.0, 1.3, 0.7))}
+
+
+def random_mask(name, seed):
+    """A random mask, filled U(0.2, 0.6), on R0 = -1 - U(0, 1) over one of ``_GRIDS``."""
+    g = _GRIDS[name]()
+    rng = np.random.default_rng(seed)
+    r0 = yf.ScalarField(g, -1.0 - rng.random(g.shape))
+    bg = yf.Background(g, r0, yf.ScalarField.constant(g, -1.0))
+    return bg, SubdomainMask(g, rng.random(g.shape) < rng.uniform(0.2, 0.6))
+
+
+def certify_ball(seed, dilated):
+    """The ``certify-ball`` benchmark's ball at ``seed``'s whole-cell shift, or the dilated domain
+    its supersolution solves on."""
+    bg = constant_background(unit_grid(32))
+    shift = random.Random(seed).choices(range(32), k=3)
+    ball = ball_mask(bg.grid, tuple(((16 + s) % 32) / 32 for s in shift), 0.2)
+    if not dilated:
+        return bg, ball
+    dilation = hypotheses.DEFAULT_DILATION
+    return bg, SubdomainMask(bg.grid, chebyshev_distance(ball, dilation) <= dilation)
+
+
+_MASKS = [pytest.param(name, seed, id=f"{name}-{seed}") for name in _GRIDS for seed in range(3)]
+_BALLS = [pytest.param(seed, dilated, points, wraps, id=f"{domain}-{seed}")
+          for seed, wraps in ((11, True), (23, False))
+          for domain, dilated, points in (("ball", False, 1045), ("dilation", True, 3281))]
+
+
+class TestMaskPointBuild:
+    """``_masked_operator`` builds the CSR straight from the mask's points, byte for byte the
+    ``np.roll`` and COO reference's, and the eigen residual is the full-grid stencil's, bit for
+    bit, on random masks that cross the periodic boundary and on the ``certify-ball`` domains."""
+
+    @staticmethod
+    def assert_built_like_reference(bg, mask):
+        built, dpos, flat, nbrs = spectral._masked_operator(bg, mask)
+        ref = roll_masked_operator(bg, mask)
+        assert built.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(built, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        k = flat.size
+        assert np.array_equal(ref.indices[dpos], np.arange(k))
+        assert np.all((ref.indptr[:-1] <= dpos) & (dpos < ref.indptr[1:]))
+        assert np.array_equal(flat, np.flatnonzero(mask.inside))
+        numbers = np.arange(mask.inside.size).reshape(mask.inside.shape)
+        for axis, (minus, plus) in enumerate(nbrs):
+            assert np.array_equal(minus, np.roll(numbers, 1, axis).reshape(-1)[flat])
+            assert np.array_equal(plus, np.roll(numbers, -1, axis).reshape(-1)[flat])
+
+    @staticmethod
+    def assert_residual_is_full_grid(bg, mask):
+        result = yf.dirichlet_eigen(bg, mask)
+        phi = result.phi.values
+        lphi = np.where(mask.inside, _conformal_values(bg, phi) - result.lam * phi, 0.0)
+        assert result.residual.hex() == float(np.abs(lphi).max()).hex()
+
+    @pytest.mark.parametrize("name, seed", _MASKS)
+    def test_random_mask_csr(self, name, seed):
+        bg, mask = random_mask(name, seed)
+        assert wrapped_pairs(mask) > 0
+        self.assert_built_like_reference(bg, mask)
+
+    @pytest.mark.parametrize("seed, dilated, points, wraps", _BALLS)
+    def test_certify_ball_csr(self, seed, dilated, points, wraps):
+        bg, mask = certify_ball(seed, dilated)
+        assert (mask.count, wrapped_pairs(mask) > 0) == (points, wraps)
+        self.assert_built_like_reference(bg, mask)
+
+    def test_full_mask_csr(self):
+        """Every row of a full mask's boundary faces wraps."""
+        bg, _ = random_mask("5x9x7", 0)
+        self.assert_built_like_reference(bg, SubdomainMask.full(bg.grid))
+
+    @pytest.mark.parametrize("name, seed", _MASKS)
+    def test_random_mask_residual(self, name, seed):
+        self.assert_residual_is_full_grid(*random_mask(name, seed))
+
+    @pytest.mark.parametrize("seed, dilated, points, wraps", _BALLS)
+    def test_certify_ball_residual(self, seed, dilated, points, wraps):
+        self.assert_residual_is_full_grid(*certify_ball(seed, dilated))
 
 
 class TestStructure:
@@ -289,7 +402,7 @@ class TestCG:
     def test_matches_scipy(self, case, points, near):
         """The operator shifted by sigma_0, or just below lambda_1, and a fixed right-hand side."""
         bg, mask = case()
-        lmat = spectral._masked_operator(bg, mask)
+        lmat = spectral._masked_operator(bg, mask)[0]
         k = lmat.shape[0]
         assert k == points
         shift = sigma0 = bg.r0.min() - 1.0
@@ -305,7 +418,7 @@ class TestCG:
 
     def test_iteration_limit_returns_the_count(self):
         bg, mask = ball_57()
-        op = spectral._masked_operator(bg, mask)
+        op = spectral._masked_operator(bg, mask)[0]
         b = np.random.default_rng(5).random(op.shape[0])
         x, info, calls = self.solve(spectral.cg, op, b, 3)
         x_ref, info_ref, _ = self.solve(scipy.sparse.linalg.cg, op, b, 3)
@@ -314,7 +427,7 @@ class TestCG:
 
     def test_zero_right_hand_side_is_solved_at_once(self):
         bg, mask = ball_57()
-        op = spectral._masked_operator(bg, mask)
+        op = spectral._masked_operator(bg, mask)[0]
         x, info, calls = self.solve(spectral.cg, op, np.zeros(op.shape[0]), 10)
         assert (info, calls) == (0, 0)
         assert np.array_equal(x, np.zeros(op.shape[0]))

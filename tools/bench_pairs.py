@@ -28,7 +28,10 @@ digests, as a change meant to be bit-identical must; ``digests_repeat`` says, pe
 side, whether every run of that side reported the same digests, as one that moves the numbers on
 purpose still must.  ``wins`` gives, per workload and end-to-end metric of ``BENCHMARK.json``
 (only read), the pairs whose change run beat its parent run in the direction of the metric's
-``better``, out of the pairs run; a tie counts for neither side.  After the pairs, one
+``better``, out of the pairs run; a tie counts for neither side.  ``meets_gain_rule`` says, per
+workload and end-to-end metric, whether the change won at least 9 of every 10 pairs run and its
+median is ``resolved`` from the parent's in the metric's ``better`` direction: the rule a claimed
+gain must meet.  After the pairs, one
 ``--trace 1`` run per workload and side, at the same seed and ``--seconds``, gives ``counts``: per
 workload and side, every metric whose unit is ``count``, such as the steps, the dt caps and the
 eigen and CG iterations.  These runs stay out of every other entry.  ``counts_equal`` says, per
@@ -176,6 +179,20 @@ def resolved(medians: dict, spreads: dict, names) -> dict:
     return out
 
 
+def meets_gain_rule(won: dict, apart: dict, medians: dict, better: dict[str, str]) -> dict:
+    """Per workload and metric of ``won`` (``wins``), whether the change won at least 9/10 of the
+    pairs and its median is ``apart`` (``resolved``) from the parent's, in ``better``'s direction.
+    """
+    out: dict = {}
+    for workload, metrics in won.items():
+        for name, entry in metrics.items():
+            parent, change = (medians[workload][side][name] for side in ("parent", "change"))
+            ahead = change < parent if better[name] == "lower" else change > parent
+            most = 10 * entry["won"] >= 9 * entry["pairs"]
+            out.setdefault(workload, {})[name] = most and ahead and apart[workload][name]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -215,17 +232,19 @@ def main(argv=None) -> int:
                 print(workload, "counts", side, json.dumps(traced[workload][side]), file=sys.stderr)
 
     medians, spreads = per_side(runs, statistics.median), per_side(runs, quartiles)
+    apart, won = resolved(medians, spreads, better), wins(runs, better)
     report = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         **shas,
         "medians": medians,
         "quartiles": spreads,
-        "resolved": resolved(medians, spreads, better),
+        "resolved": apart,
         "wall_split": wall_split(runs),
         "digests_agree": digests_agree(runs),
         "digests_repeat": digests_repeat(runs),
-        "wins": wins(runs, better),
+        "wins": won,
+        "meets_gain_rule": meets_gain_rule(won, apart, medians, better),
         "counts": traced,
         "counts_equal": {workload: sides["parent"] == sides["change"]
                          for workload, sides in traced.items()},
