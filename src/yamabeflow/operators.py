@@ -1,14 +1,14 @@
 """Discrete conformal-geometry operators on a periodic grid.
 
-The background metric is flat; its scalar curvature ``R0`` is treated as
-free negative data, since every statement under test only uses the PDE
-structure of ``-c_n * Laplacian + R0`` with ``R0 < 0``.
+The background metric is flat; its scalar curvature ``R0`` is treated as free negative data,
+since every statement under test only uses the PDE structure of ``-c_n * Laplacian + R0``.
 
-All stencils are second-order central differences written as a backward
-divergence of forward differences, so that summation by parts (and hence
-the discrete Green identity and the dissipation identity) holds exactly.
-So the Dirichlet form ``int(c_n |grad w|^2 + R0 w^2)`` is read through the
-conformal Laplacian ``L0`` alone, as ``int(w L0 w)``.
+All stencils are second-order central differences written as a backward divergence of forward
+differences, so that summation by parts (hence the discrete Green and dissipation identities)
+holds exactly and a constant's Laplacian is exactly zero.  So the Dirichlet form
+``int(c_n |grad w|^2 + R0 w^2)`` is read through the conformal Laplacian ``L0`` alone, as
+``int(w L0 w)``.  ``L0`` scales each axis's difference by ``-c_n`` times a stored ``1/h^2``: the
+divide-by-``h^2``-then-times-``-c_n`` bits where both are powers of two, else within rounding.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def require_positive(u: ScalarField, what: str = "u"):
 
 class _StencilPlan:
     """A grid's views for ``_laplacian_values``, built once: per axis, the flat stride ``s``, the
-    wrap faces' indices, ``h*h`` and the views of the scratch pair ``fwd``, ``bwd`` (C-contiguous,
+    wrap faces' indices, ``1/(h*h)`` and views of the scratch pair ``fwd``, ``bwd`` (C-contiguous,
     of the grid's shape, fresh when not given) that the axis's two differences write and read."""
 
     __slots__ = ("scratch", "axes")
@@ -89,34 +89,34 @@ class _StencilPlan:
         for axis, h in enumerate(grid.spacings):
             s = math.prod(shape[axis + 1 :])
             lo, hi = (slice(None),) * axis + (0,), (slice(None),) * axis + (-1,)
-            self.axes.append((s, lo, hi, h * h, flat_fwd[s:], flat_fwd[:-s], flat_bwd[s:],
+            self.axes.append((s, lo, hi, 1.0 / (h * h), flat_fwd[s:], flat_fwd[:-s], flat_bwd[s:],
                               fwd[lo], fwd[hi], bwd[lo]))
 
 
-def _laplacian_values(v: np.ndarray, plan: _StencilPlan, out=None) -> np.ndarray:
-    """Flat Laplacian of ``v`` into ``out`` (fresh when not given): per axis, the forward difference
-    of ``v`` into ``fwd`` and its backward difference into ``bwd``, each one flat subtraction and
-    its wrap face, the ``np.roll`` forms' IEEE operations bit for bit.  The first axis's term is
-    written straight into ``out``, so a zero whose every term is -0.0 keeps that sign."""
+def _laplacian_values(v: np.ndarray, plan: _StencilPlan, out=None, scale=1.0) -> np.ndarray:
+    """``scale`` times the flat Laplacian of ``v``, into ``out`` (fresh when not given): per axis,
+    the forward difference of ``v`` into ``fwd`` and its backward difference into ``bwd``, each one
+    flat subtraction and its wrap face, the ``np.roll`` forms' IEEE operations bit for bit, times
+    ``scale * (1/(h*h))``.  The first axis's term is written straight into ``out``, so a zero
+    whose every term is -0.0 (a +0.0 difference times a negative ``scale``) keeps that sign."""
     flat = v.reshape(-1)  # a view when v is C-contiguous, else a C-order copy
     bwd = plan.scratch[1]
     for axis, views in enumerate(plan.axes):
-        s, lo, hi, hh, fwd_ahead, fwd_behind, bwd_ahead, fwd_lo, fwd_hi, bwd_lo = views
+        s, lo, hi, inv_h2, fwd_ahead, fwd_behind, bwd_ahead, fwd_lo, fwd_hi, bwd_lo = views
         np.subtract(flat[s:], flat[:-s], out=fwd_behind)
         np.subtract(v[lo], v[hi], out=fwd_hi)
         np.subtract(fwd_ahead, fwd_behind, out=bwd_ahead)
         np.subtract(fwd_lo, fwd_hi, out=bwd_lo)
         if axis == 0:
-            out = np.divide(bwd, hh, out=out)
+            out = np.multiply(bwd, scale * inv_h2, out=out)
         else:
-            out += np.divide(bwd, hh, out=bwd)
+            out += np.multiply(bwd, scale * inv_h2, out=bwd)
     return out
 
 
 def _conformal_values(bg: Background, v: np.ndarray, out=None, plan=None) -> np.ndarray:
     plan = plan if plan is not None else _StencilPlan(bg.grid)
-    out = _laplacian_values(v, plan, out)
-    out *= -bg.c_n
+    out = _laplacian_values(v, plan, out, -bg.c_n)
     out += np.multiply(bg.r0.values, v, out=plan.scratch[0])
     return out
 

@@ -191,9 +191,9 @@ def dirichlet_eigen(bg: Background, mask: SubdomainMask, tol: float = 1e-8) -> E
     # L0 phi - lam phi at the mask points, by the stencil's own operations in its order: phi is 0
     # outside, so each value is the full-grid stencil's bit for bit.
     for axis, ((minus, plus), h) in enumerate(zip(nbrs, bg.grid.spacings)):
-        term = ((phi[plus] - v) - (v - phi[minus])) / (h * h)
+        term = ((phi[plus] - v) - (v - phi[minus])) * (-bg.c_n * (1.0 / (h * h)))
         lap = term if axis == 0 else lap + term
-    lphi = lap * -bg.c_n + bg.r0.values.reshape(-1)[flat] * v - lam * v
+    lphi = lap + bg.r0.values.reshape(-1)[flat] * v - lam * v
     residual = float(np.abs(lphi).max())
     return EigenResult(lam, ScalarField(bg.grid, phi_vals), residual, it)
 

@@ -20,6 +20,16 @@ FLOW_POWERS = sorted({p for n in range(3, 7) for p in (
     (n + 2.0) / (n - 2.0), 2.0 * n / (n - 2.0), *yf.FlowConfig.resolve_orders(n))})
 
 
+NON_DYADIC = yf.GridSpec(3, (5, 6, 7), (1.0, 1.3, 0.7))
+FOUR_D = yf.GridSpec(4, (4, 5, 4, 6), (1.0, 1.3, 0.7, 0.9))
+FIVE_D = yf.GridSpec(5, (4,) * 5, (1.0, 1.3, 0.7, 0.9, 1.1))
+STENCIL_GRIDS = pytest.mark.parametrize(
+    "grid",
+    [NON_DYADIC, FOUR_D, FIVE_D, unit_grid(16), unit_grid(24)],
+    ids=["non_dyadic", "four_d", "five_d", "16", "24"],
+)
+
+
 def dense_laplacian_matrix(grid):
     """Independent dense assembly of the periodic second-difference stencil."""
     npts = grid.num_points
@@ -57,8 +67,9 @@ class TestBackground:
 
 
 class TestLaplacian:
-    def test_constant_is_exactly_zero(self, grid8):
-        out = yf.laplacian(yf.ScalarField.constant(grid8, 4.2))
+    @STENCIL_GRIDS
+    def test_constant_is_exactly_zero(self, grid):
+        out = yf.laplacian(yf.ScalarField.constant(grid, 4.2))
         assert np.all(out.values == 0.0)
 
     def test_fourier_mode_eigenvalue(self, grid8):
@@ -103,9 +114,11 @@ class TestConformalOperator:
         lab = yf.conformal_op(bg8, yf.ScalarField(bg8.grid, 2.0 * a - 3.0 * b)).values
         assert np.allclose(lab, 2.0 * la - 3.0 * lb, atol=1e-9)
 
-    def test_constant_reduces_to_r0(self, bg8):
-        out = yf.conformal_op(bg8, yf.ScalarField.constant(bg8.grid, 1.0))
-        assert np.all(out.values == bg8.r0.values)
+    @STENCIL_GRIDS
+    def test_constant_reduces_to_r0(self, grid):
+        bg = constant_background(grid)
+        out = yf.conformal_op(bg, yf.ScalarField.constant(grid, 1.0))
+        assert np.all(out.values == bg.r0.values)
 
 
 class TestScalarCurvature:
@@ -258,13 +271,22 @@ def test_operators_follow_numpy_out_of_the_float_range():
         assert yf.energy(bg, yf.ScalarField.constant(grid, 1e60)) == np.inf
 
 
-def _reference_laplacian(v, spacings):
+def _reference_laplacian(v, spacings, scale=1.0):
     out = np.zeros_like(v)
     for axis, h in enumerate(spacings):
         dp = np.roll(v, -1, axis=axis) - v
         dm = v - np.roll(v, 1, axis=axis)
-        out += (dp - dm) / (h * h)
+        out += (dp - dm) * (scale * (1.0 / (h * h)))
     return out
+
+
+def _divide_form_conformal(bg, v):
+    """``L0 v`` in the order the stencil took before it stored ``1/h^2``: each axis's difference
+    divided by ``h^2``, the axes summed in order, the sum times ``-c_n``, then ``+ R0 v``."""
+    for axis, h in enumerate(bg.grid.spacings):
+        term = ((np.roll(v, -1, axis=axis) - v) - (v - np.roll(v, 1, axis=axis))) / (h * h)
+        lap = term if axis == 0 else lap + term
+    return lap * -bg.c_n + bg.r0.values * v
 
 
 def _reference_laplacian_g(bg, uv, wv):
@@ -297,16 +319,6 @@ def _reference_weighted_gradient_sq_integral(bg, w, uv):
     return total * bg.grid.cell_volume
 
 
-NON_DYADIC = yf.GridSpec(3, (5, 6, 7), (1.0, 1.3, 0.7))
-FOUR_D = yf.GridSpec(4, (4, 5, 4, 6), (1.0, 1.3, 0.7, 0.9))
-FIVE_D = yf.GridSpec(5, (4,) * 5, (1.0, 1.3, 0.7, 0.9, 1.1))
-STENCIL_GRIDS = pytest.mark.parametrize(
-    "grid",
-    [NON_DYADIC, FOUR_D, FIVE_D, unit_grid(16), unit_grid(24)],
-    ids=["non_dyadic", "four_d", "five_d", "16", "24"],
-)
-
-
 @STENCIL_GRIDS
 def test_stencils_bitwise_equal_reference_forms(grid):
     # The flat Laplacian takes its differences from one flat-array subtraction
@@ -320,7 +332,24 @@ def test_stencils_bitwise_equal_reference_forms(grid):
     for v in (w, np.asfortranarray(w)):
         lap = _laplacian_values(v, _StencilPlan(grid))
         assert np.array_equal(lap, _reference_laplacian(v, grid.spacings))
+        conf = _reference_laplacian(v, grid.spacings, -bg.c_n) + bg.r0.values * v
+        assert np.array_equal(_conformal_values(bg, v), conf)
         assert np.array_equal(_laplacian_g_values(bg, u, v), _reference_laplacian_g(bg, u, v))
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_conformal_keeps_the_divide_form_bits_where_scales_are_dyadic(size):
+    """With n = 3 on a unit grid of 2^k points a side, ``1/h^2`` and ``c_n = 8`` are powers of
+    two, so folding ``-c_n`` into the stored ``1/h^2`` moves no bit of ``L0 v`` against dividing
+    by ``h^2`` and then multiplying by ``-c_n``: the ``trapped-flow`` (16^3) and ``certify-ball``
+    (32^3) grids keep their bits.  Every mantissa bit of ``v`` is used."""
+    rng = np.random.default_rng(size)
+    grid = unit_grid(size)
+    bg = yf.Background(grid, yf.ScalarField(grid, -1.0 - rng.random(grid.shape)),
+                       yf.ScalarField.constant(grid, -1.0))
+    assert bg.c_n == 8.0 and grid.spacings[0] == 1.0 / size
+    for v in (rng.standard_normal(grid.shape), rng.standard_normal(grid.shape) * 1e-3):
+        assert _conformal_values(bg, v).tobytes() == _divide_form_conformal(bg, v).tobytes()
 
 
 @STENCIL_GRIDS
